@@ -123,9 +123,11 @@ def test_incremental_add_host_vs_rebuild(benchmark):
         rebuild_s = time.perf_counter() - began
 
         report["builds"] = churn_snapshot.substrate_builds
-        report["incremental"] = (
-            churn_snapshot.incremental_updates
-            - build_snapshot.incremental_updates
+        report["patches"] = (
+            churn_snapshot.kernel_patches - build_snapshot.kernel_patches
+        )
+        report["fallbacks"] = (
+            churn_snapshot.patch_fallbacks - build_snapshot.patch_fallbacks
         )
         report["speedup"] = rebuild_s / max(join_s, 1e-9)
         rows.append([
@@ -144,10 +146,11 @@ def test_incremental_add_host_vs_rebuild(benchmark):
         title="incremental maintenance vs cold substrate rebuild",
     )
     emit("service_scaling_incremental", table)
-    # Leaf churn must ride the incremental path: remove + add are two
-    # incremental updates on the one substrate built for the first
-    # query — no extra full build.
+    # Leaf churn must ride the kernel patch: remove + add are two
+    # patches on the one substrate built for the first query — no
+    # declined patch, no extra full build.
     assert report["builds"] == 1, (
         f"leaf churn triggered a full rebuild ({report['builds']} builds)"
     )
-    assert report["incremental"] == 2
+    assert report["patches"] == 2
+    assert report["fallbacks"] == 0

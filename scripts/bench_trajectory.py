@@ -9,16 +9,15 @@ root, so successive commits carry comparable numbers:
 * aggregation-build counts from telemetry — the proof that a warm
   batch over ``m`` classes costs ONE shared node-info fixed point plus
   ``m`` per-class CRT passes, not ``m`` full fixed points;
-* a single ``add_host`` on an n=200 overlay absorbed incrementally
-  (no full substrate rebuild), with its maintenance report;
-* the kernel-backend comparison — the cold batched build (one
-  substrate fixed point plus one CRT pass per class) timed under
-  ``REPRO_KERNELS=python`` and ``REPRO_KERNELS=numpy`` at n=200, and
-  the numpy cold build alone at n=1000 in full mode;
+* a leaf leave + re-join on an n=200 overlay absorbed by the kernel
+  patch (no full substrate rebuild);
+* the kernel comparison — the cold batched build (one substrate fixed
+  point plus one CRT pass per class) at n=200 timed against the
+  standalone paper-literal round protocol answering the same batch,
+  and the kernel cold build alone at n=1000 in full mode;
 * the warm batched answer path — fresh mixed-(k, b) batches at n=200
   served through the per-generation answer tables, checked
-  answer-for-answer against a per-query twin, against a
-  ``REPRO_KERNELS=python`` fallback leg, and against the pure
+  answer-for-answer against a per-query twin and against the pure
   cache-hit throughput ceiling;
 * the churn storm — an interleaved leave/join/query storm at n=200
   ridden by the kernel churn path (CSR splice, dirty-subtree
@@ -41,10 +40,10 @@ root, so successive commits carry comparable numbers:
 The script is also a gate: it exits non-zero when the warm
 aggregation-build count is not strictly below the cold one (the
 shared-substrate split has silently stopped amortizing), when the
-numpy kernel speedup at n=200 drops below 1.5x (below 3x it only
-warns), when any warm batched answer differs from the per-query path
-(or the table path fails to engage / the python fallback builds
-tables), or when a batch served over TCP answers differently from the
+kernel speedup over the paper-literal round protocol at n=200 drops
+below 1.5x (below 3x it only warns), when any warm batched answer
+differs from the per-query path (or the table path fails to engage),
+or when a batch served over TCP answers differently from the
 in-process service it wraps.  A wire-overhead ratio above 2.5x and a
 warm-batched throughput more than 5x below the cache-hit ceiling warn
 without failing.
@@ -54,8 +53,8 @@ Usage::
     PYTHONPATH=src python scripts/bench_trajectory.py [--smoke] [--out PATH]
 
 ``--smoke`` shrinks the batch workload for CI and skips the n=1000
-kernel build; the n=200 incremental churn proof and the n=200 kernel
-comparison run at full size in both modes.
+kernel build; the n=200 churn proof and the n=200 kernel comparison
+run at full size in both modes.
 """
 
 from __future__ import annotations
@@ -66,15 +65,14 @@ import os
 import platform
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.decentralized import DecentralizedClusterSearch  # noqa: E402
 from repro.core.query import BandwidthClasses, ClusterQuery  # noqa: E402
 from repro.datasets.planetlab import hp_planetlab_like  # noqa: E402
-from repro.kernels import BACKEND_ENV  # noqa: E402
 from repro.obs import Tracer, TraceStore, TracerLike  # noqa: E402
 from repro.predtree.framework import build_framework  # noqa: E402
 from repro.service import ClusterQueryService  # noqa: E402
@@ -143,7 +141,7 @@ def measure_batches(n: int, repeats: int) -> dict:
 
 
 def measure_incremental(n: int) -> dict:
-    """A leaf leave + re-join at size *n* must ride the warm path.
+    """A leaf leave + re-join at size *n* must ride the kernel patch.
 
     Times both membership directions — the join latency used to be
     reported alone, which hid leave-side regressions entirely.
@@ -172,8 +170,8 @@ def measure_incremental(n: int) -> dict:
         "leave_latency_s": round(leave_s, 6),
         "substrate_builds_before": primed.substrate_builds,
         "substrate_builds_after": after.substrate_builds,
-        "incremental_updates": after.incremental_updates,
         "kernel_patches": after.kernel_patches,
+        "patch_fallbacks": after.patch_fallbacks,
         "full_rebuild": after.substrate_builds != primed.substrate_builds,
     }
 
@@ -236,51 +234,51 @@ def measure_tracing(n: int, warm_queries: int) -> dict:
     }
 
 
-@contextmanager
-def _pinned_backend(backend: str):
-    """Pin ``REPRO_KERNELS`` for one measurement (single-threaded).
-
-    The env var is read per build, so pinning it just for one section
-    is race-free in a single-threaded driver.
-    """
-    previous = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = backend
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = previous
-
-
-def _cold_batch_seconds(n: int, backend: str) -> float:
-    """Cold batched build under a pinned kernel backend.
+def _cold_batch_seconds(n: int) -> float:
+    """Cold batched build through the service's kernels.
 
     One query per class: one substrate fixed point + ``m`` CRT passes,
     the exact workload the kernels vectorize.
     """
-    with _pinned_backend(backend):
-        service = _build_service(n)
-        began = time.perf_counter()
-        service.submit_batch(_batch(service.classes, k=5), max_workers=4)
-        return time.perf_counter() - began
+    service = _build_service(n)
+    began = time.perf_counter()
+    service.submit_batch(_batch(service.classes, k=5), max_workers=4)
+    return time.perf_counter() - began
+
+
+def _reference_cold_seconds(n: int) -> float:
+    """The same cold batch answered by the paper-literal round protocol.
+
+    A standalone :class:`DecentralizedClusterSearch` runs synchronous
+    rounds of Algorithms 2 and 3 over all classes to its fixed point,
+    then routes one query per class — what the kernels replace.
+    """
+    dataset = hp_planetlab_like(seed=0, n=n)
+    framework = build_framework(dataset.bandwidth, seed=1)
+    classes = BandwidthClasses.linear(15.0, 75.0, 7)
+    began = time.perf_counter()
+    search = DecentralizedClusterSearch(framework, classes, n_cut=N_CUT)
+    search.run_aggregation()
+    entry = framework.hosts[0]
+    for query in _batch(classes, k=5):
+        search.process_query(query.k, query.b, entry)
+    return time.perf_counter() - began
 
 
 def measure_kernels(smoke: bool) -> dict:
-    """Pure-Python reference vs numpy kernels on the cold batched build."""
-    python_s = _cold_batch_seconds(200, "python")
-    numpy_s = _cold_batch_seconds(200, "numpy")
+    """Paper-literal round protocol vs the kernels on the cold batch."""
+    reference_s = _reference_cold_seconds(200)
+    kernel_s = _cold_batch_seconds(200)
     section = {
         "n200": {
-            "python_cold_s": round(python_s, 6),
-            "numpy_cold_s": round(numpy_s, 6),
-            "speedup": round(python_s / max(numpy_s, 1e-9), 2),
+            "reference_cold_s": round(reference_s, 6),
+            "kernel_cold_s": round(kernel_s, 6),
+            "speedup": round(reference_s / max(kernel_s, 1e-9), 2),
         },
     }
     if not smoke:
         section["n1000"] = {
-            "numpy_cold_s": round(_cold_batch_seconds(1000, "numpy"), 6),
+            "kernel_cold_s": round(_cold_batch_seconds(1000), 6),
         }
     return section
 
@@ -301,9 +299,9 @@ def _warm_batch_run(
     One untimed priming pass lets the service build its answer tables
     and lazy per-k plans; the timed region then re-submits the same
     mixed batch *passes* times.  ``cache_size=2`` is far too small to
-    hold the 28-query batch, so the table gather (or, under the python
-    backend, the per-query fallback) must do the actual work on every
-    pass — this measures the steady warm state, not build cost.
+    hold the 28-query batch, so the table gather must do the actual
+    work on every pass — this measures the steady warm state, not
+    build cost.
     """
     dataset = hp_planetlab_like(seed=0, n=n)
     framework = build_framework(dataset.bandwidth, seed=1)
@@ -336,58 +334,40 @@ def measure_warm_path(smoke: bool) -> dict:
     Three checks: (1) every warm batched answer — from the priming
     pass that builds the tables AND from the steady-state passes —
     must equal what a twin service's per-query ``submit`` computes for
-    the same query (hard gate); (2) the numpy leg must actually build
-    answer tables while a ``REPRO_KERNELS=python`` leg must build none
-    yet answer the same stream identically (hard gates); (3) the
-    steady warm batched throughput should sit within
-    ``WARM_PATH_WARN``x of the pure cache-hit ceiling (warn only).
+    the same query (hard gate); (2) the workload must actually build
+    answer tables (hard gate); (3) the steady warm batched throughput
+    should sit within ``WARM_PATH_WARN``x of the pure cache-hit
+    ceiling (warn only).
     """
     passes = 8 if smoke else 20
     ks_per_class = 4
 
-    with _pinned_backend("numpy"):
-        service, queries, primed, results, warm_qps = _warm_batch_run(
-            200, passes, ks_per_class
-        )
-        table_builds = service.telemetry.snapshot().answer_table_builds
-        twin = _build_service(200)
-        mismatches = 0
-        for query, first, steady in zip(queries, primed, results):
-            expected = twin.submit(query)
-            for result in (first, steady):
-                if (
-                    result.cluster != expected.cluster
-                    or result.hops != expected.hops
-                ):
-                    mismatches += 1
-        # Cache-hit ceiling: repeated identical submits on a primed
-        # default-cache service — the floor of what serving any warm
-        # answer can possibly cost.
-        ceiling_service = _build_service(200)
-        mix = [ClusterQuery(k=4, b=b) for b in (15.0, 45.0, 75.0)]
-        for query in mix:
-            ceiling_service.submit(query)
-        hits = 2000 if smoke else 10_000
-        began = time.perf_counter()
-        for index in range(hits):
-            ceiling_service.submit(mix[index % len(mix)])
-        ceiling_qps = hits / max(time.perf_counter() - began, 1e-9)
-
-    python_n = 60 if smoke else 200
-    with _pinned_backend("python"):
-        fallback_service, _, _, fallback_results, python_qps = (
-            _warm_batch_run(python_n, passes, ks_per_class)
-        )
-        python_builds = (
-            fallback_service.telemetry.snapshot().answer_table_builds
-        )
-    with _pinned_backend("numpy"):
-        _, _, _, numpy_results, _ = _warm_batch_run(
-            python_n, passes, ks_per_class
-        )
-    fallback_matches = [
-        (r.cluster, r.hops) for r in fallback_results
-    ] == [(r.cluster, r.hops) for r in numpy_results]
+    service, queries, primed, results, warm_qps = _warm_batch_run(
+        200, passes, ks_per_class
+    )
+    table_builds = service.telemetry.snapshot().answer_table_builds
+    twin = _build_service(200)
+    mismatches = 0
+    for query, first, steady in zip(queries, primed, results):
+        expected = twin.submit(query)
+        for result in (first, steady):
+            if (
+                result.cluster != expected.cluster
+                or result.hops != expected.hops
+            ):
+                mismatches += 1
+    # Cache-hit ceiling: repeated identical submits on a primed
+    # default-cache service — the floor of what serving any warm
+    # answer can possibly cost.
+    ceiling_service = _build_service(200)
+    mix = [ClusterQuery(k=4, b=b) for b in (15.0, 45.0, 75.0)]
+    for query in mix:
+        ceiling_service.submit(query)
+    hits = 2000 if smoke else 10_000
+    began = time.perf_counter()
+    for index in range(hits):
+        ceiling_service.submit(mix[index % len(mix)])
+    ceiling_qps = hits / max(time.perf_counter() - began, 1e-9)
 
     return {
         "n": 200,
@@ -400,12 +380,6 @@ def measure_warm_path(smoke: bool) -> dict:
         ),
         "answer_table_builds": table_builds,
         "mismatches": mismatches,
-        "python_fallback": {
-            "n": python_n,
-            "qps": round(python_qps, 2),
-            "answer_table_builds": python_builds,
-            "matches_numpy": fallback_matches,
-        },
     }
 
 
@@ -419,14 +393,14 @@ def measure_warm_path(smoke: bool) -> dict:
 CHURN_RETENTION_WARN = 2.0
 
 
-def _churn_service(n: int, patch: bool) -> ClusterQueryService:
+def _churn_service(n: int) -> ClusterQueryService:
     dataset = hp_planetlab_like(seed=0, n=n)
     framework = build_framework(dataset.bandwidth, seed=1)
     classes = BandwidthClasses.linear(15.0, 75.0, 7)
     # cache_size=2 cannot hold a 21-query batch: every pass must do
     # real gather/recompute work instead of LRU hits.
     return ClusterQueryService(
-        framework, classes, n_cut=N_CUT, cache_size=2, patch_churn=patch
+        framework, classes, n_cut=N_CUT, cache_size=2
     )
 
 
@@ -500,18 +474,17 @@ def measure_churn(smoke: bool) -> dict:
     warns; a storm that never engages the patch path hard-fails.
     """
     events = 3 if smoke else 8
-    with _pinned_backend("numpy"):
-        patched_service = _churn_service(CHURN_N, patch=True)
-        patched_answers, patched_s, queries = _churn_storm(
-            patched_service, events, invalidate_everything=False
-        )
-        telemetry = patched_service.telemetry.snapshot()
+    patched_service = _churn_service(CHURN_N)
+    patched_answers, patched_s, queries = _churn_storm(
+        patched_service, events, invalidate_everything=False
+    )
+    telemetry = patched_service.telemetry.snapshot()
 
-        baseline_service = _churn_service(CHURN_N, patch=False)
-        baseline_answers, baseline_s, _ = _churn_storm(
-            baseline_service, events, invalidate_everything=True
-        )
-        baseline_telemetry = baseline_service.telemetry.snapshot()
+    baseline_service = _churn_service(CHURN_N)
+    baseline_answers, baseline_s, _ = _churn_storm(
+        baseline_service, events, invalidate_everything=True
+    )
+    baseline_telemetry = baseline_service.telemetry.snapshot()
 
     divergent = sum(
         1
@@ -695,7 +668,7 @@ def main(argv: list[str] | None = None) -> int:
     overload = measure_overload(smoke=args.smoke) if args.overload else None
 
     trajectory = {
-        "schema": 7,
+        "schema": 8,
         "mode": "smoke" if args.smoke else "full",
         "n_cut": N_CUT,
         "environment": environment_info(),
@@ -763,12 +736,12 @@ def main(argv: list[str] | None = None) -> int:
     speedup = kernels["n200"]["speedup"]
     if speedup < 1.5:
         failures.append(
-            f"numpy kernel cold build at n=200 is only {speedup}x "
-            "faster than the pure-Python reference (hard floor: 1.5x)"
+            f"kernel cold build at n=200 is only {speedup}x faster "
+            "than the paper-literal round protocol (hard floor: 1.5x)"
         )
     elif speedup < 3.0:
         print(
-            f"WARN: numpy kernel speedup at n=200 is {speedup}x, "
+            f"WARN: kernel speedup at n=200 is {speedup}x, "
             "below the 3x target",
             file=sys.stderr,
         )
@@ -785,17 +758,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "the warm batched workload built no answer tables — the "
             "vectorized gather path never engaged"
-        )
-    if warm_path["python_fallback"]["answer_table_builds"] != 0:
-        failures.append(
-            "REPRO_KERNELS=python built "
-            f"{warm_path['python_fallback']['answer_table_builds']} "
-            "answer tables — the python fallback is reaching numpy code"
-        )
-    if not warm_path["python_fallback"]["matches_numpy"]:
-        failures.append(
-            "the python-backend fallback answered the warm batched "
-            "stream differently from the numpy gather path"
         )
     warm_ratio = warm_path["ceiling_over_warm"]
     if warm_ratio > WARM_PATH_WARN:
@@ -907,10 +869,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"accepted p99 {overload['accepted_p99_s']}s within "
                 f"bound {p99_bound:.4f}s, 0 mismatches"
             )
-    if "n1000" in kernels and kernels["n1000"]["numpy_cold_s"] >= 10.0:
+    if "n1000" in kernels and kernels["n1000"]["kernel_cold_s"] >= 10.0:
         failures.append(
-            "numpy cold batched build at n=1000 took "
-            f"{kernels['n1000']['numpy_cold_s']}s, expected < 10s"
+            "kernel cold batched build at n=1000 took "
+            f"{kernels['n1000']['kernel_cold_s']}s, expected < 10s"
         )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -22,17 +22,21 @@ The two aggregation mechanisms split cleanly by what they depend on:
 and ``n_cut``) while ``aggrCRT`` depends on the distance-class set.
 :class:`AggregationSubstrate` captures the class-independent half so one
 Algorithm 2 fixed point can be shared by any number of per-class
-searches, and maintains it *incrementally* across single-host overlay
-changes (seeded re-propagation from the changed neighborhood instead of
-a cold rebuild).  :class:`DecentralizedClusterSearch` either owns a
-private substrate (the classic standalone behaviour) or layers the
-cheap per-class CRT pass over a shared one.
+searches.  It computes that fixed point with the array sweeps of
+:mod:`repro.kernels` and patches it across single-leaf overlay changes
+instead of rebuilding it.
 
-The background mechanisms are periodic; :meth:`DecentralizedClusterSearch.
-run_aggregation` executes synchronous rounds until a fixed point, which is
-reached after at most (anchor-tree diameter) rounds because information
-travels one overlay hop per round.  The test suite validates the fixed
-point against direct oracles derived from Theorems 3.2 and 3.3.
+:class:`DecentralizedClusterSearch` has two modes.  Standalone, it is
+the paper-literal protocol: the background mechanisms are periodic,
+and :meth:`~DecentralizedClusterSearch.run_aggregation` executes
+synchronous rounds of Algorithms 2 and 3 until a fixed point, reached
+after at most (anchor-tree diameter) rounds because information travels
+one overlay hop per round.  The simulator and the experiments use it
+this way, and the test suite holds the substrate to it as the oracle.
+Layered over a shared substrate, it adopts the substrate's fixed point
+and runs only the batched Algorithm 3 kernel for its own classes.  The
+test suite also validates the fixed point against direct oracles
+derived from Theorems 3.2 and 3.3.
 """
 
 from __future__ import annotations
@@ -51,27 +55,16 @@ from repro.exceptions import (
     TreePatchFallback,
     ValidationError,
 )
-from repro.kernels import active_backend
 from repro.kernels.aggr import (
+    clustering_spaces,
     node_info_sweep,
-    sweep_entry,
     tables_from_sweep,
 )
-from repro.kernels.churn import (
-    arrays_from_tables,
-    resweep,
-    splice_join,
-    splice_leave,
-)
-from repro.kernels.crt import (
-    CrtPrecompute,
-    clustering_spaces,
-    crt_sweep,
-    crt_tables,
-)
+from repro.kernels.churn import resweep, splice_join, splice_leave
+from repro.kernels.crt import CrtPrecompute, crt_sweep, crt_tables
 from repro.kernels.tree import TreeCSR, compile_tree
 from repro.metrics.metric import DistanceMatrix
-from repro.obs import NOOP_TRACER, TracerLike
+from repro.obs import NOOP_TRACER, SpanLike, TracerLike
 from repro.predtree.framework import BandwidthPredictionFramework
 
 __all__ = [
@@ -81,6 +74,7 @@ __all__ = [
     "ChurnEvent",
     "KernelView",
     "MaintenanceReport",
+    "SubstrateSnapshot",
     "QueryResult",
     "DecentralizedClusterSearch",
     "propagate_node_info",
@@ -204,26 +198,25 @@ class MaintenanceReport:
     Attributes
     ----------
     kind:
-        ``"build"`` (first full fixed point), ``"patch"`` (kernel-
-        backed incremental splice kept the compiled stack warm),
-        ``"incremental"`` (seeded re-propagation converged), or
-        ``"rebuild"`` (incremental budget exhausted or structure change
-        forced a cold rebuild).
+        ``"build"`` (first full fixed point), ``"patch"`` (the churn
+        kernels spliced the event into the compiled arrays),
+        ``"rebuild"`` (the patch was refused and the fixed point was
+        recomputed cold), or ``"noop"`` (:meth:`AggregationSubstrate.
+        ensure` found the substrate already current).
     rounds:
-        Propagation rounds executed by this operation (0 for a patch —
-        the masked re-sweep is closed-form, not iterative).
+        Sweeps executed: 2 for a build/rebuild (one upward, one
+        downward), 0 for a patch (the masked re-sweep is closed-form,
+        not iterative) or a no-op.
     messages:
-        Algorithm 2 messages sent by this operation; for a patch, the
-        number of directed-edge table rows the masked re-sweep
-        recomputed (the comparable work ledger).
+        Directed-edge table rows computed — ``2 * (hosts - 1)`` for a
+        build/rebuild, the rows the masked re-sweep recomputed for a
+        patch (the comparable work ledger of Algorithm 2's messages).
     touched_hosts:
-        Hosts whose ``aggrNode`` tables were rewritten (upper bound on
-        the blast radius of the change; the full host count for a
-        build/rebuild).
+        Hosts whose tables or clustering spaces changed (the blast
+        radius of a patch; the full host count for a build/rebuild).
     fallbacks:
-        Maintenance-ladder rungs that declined this event before the
-        reported one succeeded (kernel patch → Python event path →
-        full rebuild); 0 when the first eligible rung absorbed it.
+        1 when the kernel patch declined the event and the reported
+        rebuild absorbed it instead; 0 otherwise.
     """
 
     kind: str
@@ -237,17 +230,22 @@ class MaintenanceReport:
 class KernelView:
     """Compiled array view of a substrate fixed point.
 
-    Produced by :class:`AggregationSubstrate` on the NumPy backend and
-    consumed by per-class searches: the compiled anchor tree, every
-    host's clustering-space contents (aligned to the CSR's compact
-    numbering), and the shared class-independent CRT precompute.  The
-    view is immutable and internally thread-safe, so any number of
-    concurrent per-class passes can extract from it.
+    Produced by every :class:`AggregationSubstrate` build and patch and
+    consumed by per-class searches and answer tables: the compiled
+    anchor tree, every host's clustering-space contents (aligned to the
+    CSR's compact numbering), and the shared class-independent CRT
+    precompute.  The view is immutable and internally thread-safe, so
+    any number of concurrent per-class passes can extract from it.
     """
 
     csr: TreeCSR
     spaces: list[tuple[int, ...]]
     precompute: CrtPrecompute
+
+
+#: ``{host: (overlay neighbors, aggrNode tables)}`` — the dict view of a
+#: substrate fixed point, shaped like the round protocol's node state.
+SubstrateSnapshot = dict[int, tuple[list[int], dict[int, tuple[int, ...]]]]
 
 
 @dataclass(frozen=True)
@@ -276,24 +274,28 @@ class ChurnEvent:
 class AggregationSubstrate:
     """The class-independent half of the CRT: Algorithm 2 at fixed point.
 
-    One substrate holds, per host, the overlay neighbor list and the
-    ``aggrNode`` tables — everything Algorithms 3 and 4 consume that
-    does *not* depend on the distance-class set.  Build it once per
-    overlay generation and layer any number of per-class
+    One substrate holds the overlay neighbor lists and the Algorithm 2
+    fixed point — everything Algorithms 3 and 4 consume that does *not*
+    depend on the distance-class set.  Build it once per overlay
+    generation and layer any number of per-class
     :class:`DecentralizedClusterSearch` passes on top (each pays only
-    the cheap CRT propagation for its own classes).
+    the cheap CRT pass for its own classes).
 
-    Membership changes are applied *incrementally*: a single join or a
-    leaf departure only perturbs tables along the paths that actually
-    learn something new, so :meth:`apply_join`/:meth:`apply_leave` seed
-    event-driven propagation from the changed host's neighborhood and
-    let it quiesce, falling back to a full rebuild only when the round
-    budget is exhausted (the anchor tree restructured more than a
-    single-host change can).
+    The fixed point is stored once, as arrays: the node-info sweep
+    arrays ``(up, down)`` of :func:`~repro.kernels.aggr.node_info_sweep`
+    plus the :class:`KernelView` compiled beside them.  The dict view
+    per-class searches adopt (:meth:`snapshot`) is derived from those
+    arrays at most once per generation, on first use, and shared
+    read-only.
+
+    Membership changes climb a two-rung ladder: a single-leaf join or a
+    leaf departure is *patched* into the arrays (CSR splice plus masked
+    re-sweep, :mod:`repro.kernels.churn`); an event the splice refuses
+    falls to a full rebuild.
 
     All mutating and snapshot-taking methods are serialized behind an
     internal lock so a service thread can maintain the substrate while
-    query threads snapshot it.
+    query threads adopt it.
 
     Parameters
     ----------
@@ -303,9 +305,15 @@ class AggregationSubstrate:
         Algorithm 2 aggregation cutoff.
     tracer:
         Optional :class:`~repro.obs.tracer.TracerLike`; builds and
-        incremental maintenance emit ``substrate.*`` spans with round /
-        message / touched-host counts.  Defaults to the zero-overhead
-        no-op tracer.
+        maintenance emit ``substrate.*``, ``kernel.*`` and ``churn.*``
+        spans.  Defaults to the zero-overhead no-op tracer.
+
+    Raises
+    ------
+    KernelError
+        From :meth:`build` (and any method that builds first) when the
+        overlay's neighbor lists do not form a tree the kernels can
+        compile.
     """
 
     def __init__(
@@ -313,13 +321,11 @@ class AggregationSubstrate:
         framework: BandwidthPredictionFramework,
         n_cut: int = 10,
         tracer: TracerLike = NOOP_TRACER,
-        kernel_churn: bool = True,
     ) -> None:
         if n_cut < 1:
             raise ValidationError(f"n_cut must be >= 1, got {n_cut!r}")
         self.framework = framework
         self.n_cut = int(n_cut)
-        self.kernel_churn = bool(kernel_churn)
         self._tracer = tracer
         self._lock = threading.RLock()
         self._distances: DistanceMatrix = (
@@ -329,24 +335,22 @@ class AggregationSubstrate:
             host: framework.overlay_neighbors(host)
             for host in framework.hosts
         }
-        self._tables: dict[int, dict[int, tuple[int, ...]]] = {
-            host: {} for host in self._neighbors
-        }
         self._built = False
         self._generation = framework.generation
-        self._budget = 0
-        self._kernel_view: KernelView | None = None
-        # Sweep arrays matching ``_kernel_view.csr`` (retained so a
-        # churn patch can re-sweep incrementally); ``None`` whenever
-        # the view is absent or was compiled without them.
+        # The canonical fixed point: the compiled view and the sweep
+        # arrays matching ``_view.csr``; ``None`` until the first build.
+        self._view: KernelView | None = None
         self._sweep: tuple[np.ndarray, np.ndarray] | None = None
+        # The dict view derived from ``_sweep``; dropped by every
+        # maintenance operation and re-derived on the next adoption.
+        self._snapshot: SubstrateSnapshot | None = None
         self._last_churn: ChurnEvent | None = None
 
     # -- introspection ------------------------------------------------------
 
     @property
     def generation(self) -> int:
-        """Framework generation the tables were last synchronized to."""
+        """Framework generation the fixed point was last synchronized to."""
         with self._lock:
             return self._generation
 
@@ -368,156 +372,72 @@ class AggregationSubstrate:
         with self._lock:
             return self._distances
 
-    def snapshot(self) -> dict[int, tuple[list[int], dict[int, tuple[int, ...]]]]:
-        """Consistent per-host copy: ``{host: (neighbors, aggr_node)}``.
+    def snapshot(self) -> SubstrateSnapshot:
+        """The fixed point as ``{host: (neighbors, aggr_node)}``.
 
-        Per-class searches adopt this copy so later incremental
-        maintenance of the substrate can never mutate state under an
-        in-flight query.
+        Derived from the sweep arrays with
+        :func:`~repro.kernels.aggr.tables_from_sweep` the first time it
+        is asked for after a build or patch, then shared: every caller
+        until the next maintenance operation receives the *same*
+        object, so treat it as read-only.  Maintenance never mutates a
+        published snapshot — it drops the reference and derives a
+        fresh one — so an adopter's view stays frozen at its
+        generation.  A substrate that was never built is built first.
         """
         with self._lock:
             return self._snapshot_locked()
 
-    def _snapshot_locked(
-        self,
-    ) -> dict[int, tuple[list[int], dict[int, tuple[int, ...]]]]:
-        return {
-            host: (list(self._neighbors[host]), dict(self._tables[host]))
-            for host in self._neighbors
-        }
-
-    def adopt(
-        self,
-    ) -> tuple[
-        DistanceMatrix,
-        dict[int, tuple[list[int], dict[int, tuple[int, ...]]]],
-        int,
-    ]:
-        """Atomic adoption view: ``(distances, snapshot, round budget)``.
-
-        All three pieces are taken under one lock acquisition, so a
-        concurrent incremental update can never interleave between them
-        and hand an adopter tables from one generation with distances
-        from another.  A substrate that was never built is built first;
-        a built-but-stale one is adopted as-is at its recorded
-        generation — staleness policy belongs to the caller (the
-        service re-validates its pinned generation before publishing),
-        and rebuilding here would read the live framework from a
-        context that holds no membership lock.
-        """
-        with self._lock:
-            if not self._built:
-                self.build()
-            return self._distances, self._snapshot_locked(), self._budget
+    def _snapshot_locked(self) -> SubstrateSnapshot:
+        if not self._built:
+            self.build()
+        if self._snapshot is None:
+            assert self._view is not None and self._sweep is not None
+            csr = self._view.csr
+            with self._tracer.start_span(
+                "substrate.derive", hosts=csr.size
+            ):
+                tables = tables_from_sweep(csr, *self._sweep)
+                self._snapshot = {
+                    host: (self._neighbors[host], tables[host])
+                    for host in self._neighbors
+                }
+        return self._snapshot
 
     def adopt_view(
         self,
-    ) -> tuple[
-        DistanceMatrix,
-        dict[int, tuple[list[int], dict[int, tuple[int, ...]]]],
-        int,
-        KernelView | None,
-    ]:
-        """:meth:`adopt` plus the kernel view, still one lock hold.
+    ) -> tuple[DistanceMatrix, SubstrateSnapshot, KernelView]:
+        """Atomic adoption view: ``(distances, snapshot, kernel view)``.
 
-        The fourth element is ``None`` on the pure-Python backend (or
-        when the overlay cannot be compiled); per-class searches then
-        run the reference CRT rounds instead of the batched kernel.
+        All three pieces are taken under one lock acquisition, so a
+        concurrent maintenance operation can never interleave between
+        them and hand an adopter tables from one generation with
+        distances from another.  A substrate that was never built is
+        built first; a built-but-stale one is adopted as-is at its
+        recorded generation — staleness policy belongs to the caller
+        (the service re-validates its pinned generation before
+        publishing), and rebuilding here would read the live framework
+        from a context that holds no membership lock.
         """
         with self._lock:
-            if not self._built:
-                self.build()
-            return (
-                self._distances,
-                self._snapshot_locked(),
-                self._budget,
-                self._kernel_view_locked(),
-            )
-
-    def warm_kernel(self) -> bool:
-        """Compile the kernel view ahead of adoption.
-
-        Called by the service's ``prepare()`` before a batch fans out:
-        without it, the first per-class worker after incremental
-        maintenance pays the compile under the substrate lock while
-        its siblings queue behind it.  Returns whether a kernel view
-        is available (``False`` on the pure-Python backend).
-        """
-        with self._lock:
-            if not self._built:
-                self.build()
-            return self._kernel_view_locked() is not None
-
-    def _kernel_view_locked(self) -> KernelView | None:
-        """The cached kernel view, compiling it on demand.
-
-        A substrate maintained incrementally (or built on the python
-        backend) has correct tables but no compiled arrays; the first
-        kernel-backed adoption after such maintenance recompiles from
-        the substrate's own state — never the live framework, which may
-        already have moved on.
-        """
-        if active_backend() != "numpy":
-            return None
-        if self._kernel_view is None:
-            try:
-                with self._tracer.start_span(
-                    "kernel.compile", hosts=len(self._neighbors)
-                ) as span:
-                    csr = compile_tree(
-                        self._neighbors, self._distances.values
-                    )
-                    span.set(depth=csr.depth)
-            except KernelError:
-                return None
-            self._kernel_view = KernelView(
-                csr=csr,
-                spaces=clustering_spaces(csr, self._tables),
-                precompute=CrtPrecompute(self._distances.values),
-            )
-        return self._kernel_view
+            snapshot = self._snapshot_locked()
+            assert self._view is not None
+            return self._distances, snapshot, self._view
 
     # -- fixed-point computation --------------------------------------------
 
-    def _round_budget(self) -> int:
-        """Round budget: information travels one overlay hop per round."""
-        return 2 * max(self.framework.anchor_tree.diameter(), 1) + 4
-
-    def _propagate_from(
-        self, seeds: set[int], max_rounds: int
-    ) -> tuple[int, int, set[int], bool]:
-        """Event-driven Algorithm 2 propagation from *seeds*.
-
-        Each round, every dirty host recomputes its outgoing messages
-        from current state (double-buffered within the round); only
-        receivers whose tables changed stay dirty.  Returns ``(rounds,
-        messages, touched, quiesced)``.
-        """
-        dirty = {host for host in seeds if host in self._neighbors}
-        touched: set[int] = set(dirty)
-        rounds = 0
-        messages = 0
-        while dirty and rounds < max_rounds:
-            rounds += 1
-            updates: dict[tuple[int, int], tuple[int, ...]] = {}
-            for m in dirty:
-                tables = self._tables[m]
-                for x in self._neighbors[m]:
-                    messages += 1
-                    updates[(x, m)] = propagate_node_info(
-                        m, tables, x, self._distances.row(x), self.n_cut
-                    )
-            next_dirty: set[int] = set()
-            for (x, m), nodes in updates.items():
-                if self._tables[x].get(m) != nodes:
-                    self._tables[x][m] = nodes
-                    next_dirty.add(x)
-            touched |= next_dirty
-            dirty = next_dirty
-        return rounds, messages, touched, not dirty
-
     def _rebuild_locked(self) -> MaintenanceReport:
-        """Cold full fixed point; caller holds the lock."""
+        """Cold full fixed point; caller holds the lock.
+
+        Compiles the overlay and runs the two node-info sweeps — one
+        upward, one downward — instead of ``O(diameter)`` rounds.  A
+        :class:`~repro.exceptions.KernelError` from the compiler (the
+        neighbor lists do not form a tree) propagates and leaves the
+        substrate unbuilt.
+        """
+        self._built = False
+        self._view = None
+        self._sweep = None
+        self._snapshot = None
         self._distances = self.framework.predicted_distance_matrix(
             allow_partial=True
         )
@@ -525,63 +445,26 @@ class AggregationSubstrate:
             host: self.framework.overlay_neighbors(host)
             for host in self.framework.hosts
         }
-        self._tables = {host: {} for host in self._neighbors}
-        self._kernel_view = None
-        self._sweep = None
-        budget = self._round_budget()
-        report: MaintenanceReport | None = None
-        if active_backend() == "numpy":
-            report = self._rebuild_kernel_locked()
-        if report is None:
-            rounds, messages, _, quiesced = self._propagate_from(
-                set(self._neighbors), budget
-            )
-            if not quiesced:
-                raise QueryError(
-                    "Algorithm 2 failed to reach a fixed point within "
-                    f"{budget} rounds on a static overlay"
-                )
-            report = MaintenanceReport(
-                kind="rebuild",
-                rounds=rounds,
-                messages=messages,
-                touched_hosts=len(self._neighbors),
-            )
-        self._budget = budget
-        self._built = True
-        self._generation = self.framework.generation
-        return report
-
-    def _rebuild_kernel_locked(self) -> MaintenanceReport | None:
-        """Vectorized cold build: two sweeps instead of O(diam) rounds.
-
-        Returns ``None`` when the overlay cannot be compiled (not a
-        tree — e.g. a framework handing out inconsistent neighbor
-        lists mid-restructure); the caller then falls back to the
-        reference round protocol, which needs no tree guarantee.
-        """
-        try:
-            with self._tracer.start_span(
-                "kernel.compile", hosts=len(self._neighbors)
-            ) as span:
-                csr = compile_tree(self._neighbors, self._distances.values)
-                span.set(depth=csr.depth)
-        except KernelError:
-            return None
+        with self._tracer.start_span(
+            "kernel.compile", hosts=len(self._neighbors)
+        ) as span:
+            csr = compile_tree(self._neighbors, self._distances.values)
+            span.set(depth=csr.depth)
         with self._tracer.start_span(
             "kernel.sweep", kind="node_info", hosts=csr.size
         ) as span:
             up, down = node_info_sweep(csr, self.n_cut)
-            self._tables = tables_from_sweep(csr, up, down)
             span.set(levels=csr.depth + 1)
         self._sweep = (up, down)
-        self._kernel_view = KernelView(
+        self._view = KernelView(
             csr=csr,
-            spaces=clustering_spaces(csr, self._tables),
+            spaces=clustering_spaces(csr, up, down),
             precompute=CrtPrecompute(self._distances.values),
         )
-        # One upward and one downward sweep; each visits every directed
-        # edge once — the message/round ledger of the closed form.
+        self._built = True
+        self._generation = self.framework.generation
+        # Each sweep visits every directed edge once — the message /
+        # round ledger of the closed form.
         return MaintenanceReport(
             kind="rebuild",
             rounds=2,
@@ -593,29 +476,21 @@ class AggregationSubstrate:
         """Compute (or recompute, if stale) the full fixed point."""
         with self._tracer.start_span("substrate.build") as span:
             with self._lock:
-                report = self._rebuild_locked()
-                if report.kind == "rebuild":
-                    report = MaintenanceReport(
-                        kind="build",
-                        rounds=report.rounds,
-                        messages=report.messages,
-                        touched_hosts=report.touched_hosts,
-                    )
+                report = replace(self._rebuild_locked(), kind="build")
                 span.set(
                     generation=self._generation,
                     rounds=report.rounds,
                     messages=report.messages,
                     touched_hosts=report.touched_hosts,
-                    kernel=self._kernel_view is not None,
                 )
             return report
 
     def ensure(self) -> MaintenanceReport:
-        """Idempotent build: a no-op report when already at fixed point."""
+        """Idempotent build: a ``"noop"`` report when already current."""
         with self._lock:
             if self._built and self._generation == self.framework.generation:
                 return MaintenanceReport(
-                    kind="incremental", rounds=0, messages=0, touched_hosts=0
+                    kind="noop", rounds=0, messages=0, touched_hosts=0
                 )
             return self.build()
 
@@ -639,25 +514,16 @@ class AggregationSubstrate:
     ) -> MaintenanceReport | None:
         """Try to absorb a membership event with the churn kernels.
 
-        Returns ``None`` — fall down the maintenance ladder — when the
-        compiled view is unavailable or any kernel stage raises
-        :class:`~repro.exceptions.KernelError` (including the typed
-        :class:`~repro.exceptions.TreePatchFallback` splice refusals).
-        On success the tables, kernel view, retained sweep arrays, and
-        the :class:`ChurnEvent` for downstream patchers are all updated
-        under the held lock.
+        Returns ``None`` — fall to the rebuild rung — when any kernel
+        stage raises :class:`~repro.exceptions.KernelError` (including
+        the typed :class:`~repro.exceptions.TreePatchFallback` splice
+        refusals).  On success the neighbor lists, kernel view, sweep
+        arrays, and the :class:`ChurnEvent` for downstream patchers are
+        all updated under the held lock.
         """
-        view = self._kernel_view_locked()
-        if view is None:
-            return None
+        view, sweep = self._view, self._sweep
+        assert view is not None and sweep is not None
         try:
-            sweep = self._sweep
-            if sweep is None:
-                # View was compiled on demand from the tables; recover
-                # the canonical sweep arrays so rows compare exactly.
-                sweep = arrays_from_tables(
-                    view.csr, self._tables, self.n_cut
-                )
             with self._tracer.start_span(
                 "churn.patch", kind=kind, host=host
             ) as span:
@@ -692,9 +558,7 @@ class AggregationSubstrate:
         except KernelError:
             return None
 
-        csr = result.csr
         if kind == "join":
-            self._tables[host] = {}
             self._neighbors[host] = list(
                 self.framework.overlay_neighbors(host)
             )
@@ -703,24 +567,9 @@ class AggregationSubstrate:
             anchor_hosts = [
                 n for n in self._neighbors.pop(host) if n in self._neighbors
             ]
-            del self._tables[host]
         for neighbor in anchor_hosts:
             self._neighbors[neighbor] = self.framework.overlay_neighbors(
                 neighbor
-            )
-            if kind == "leave":
-                self._tables[neighbor].pop(host, None)
-        for x in np.flatnonzero(result.changed_up):
-            child_host = int(csr.host_ids[x])
-            parent_host = int(csr.host_ids[csr.parent[x]])
-            self._tables[parent_host][child_host] = sweep_entry(
-                csr, result.up[x]
-            )
-        for x in np.flatnonzero(result.changed_down):
-            child_host = int(csr.host_ids[x])
-            parent_host = int(csr.host_ids[csr.parent[x]])
-            self._tables[child_host][parent_host] = sweep_entry(
-                csr, result.down[x]
             )
 
         removed = int(host) if kind == "leave" else None
@@ -728,11 +577,10 @@ class AggregationSubstrate:
             self._distances.values, drop=removed
         )
         patched_view = KernelView(
-            csr=csr, spaces=result.spaces, precompute=precompute
+            csr=result.csr, spaces=result.spaces, precompute=precompute
         )
-        self._kernel_view = patched_view
+        self._view = patched_view
         self._sweep = (result.up, result.down)
-        self._budget = self._round_budget()
         self._generation = self.framework.generation
         self._last_churn = ChurnEvent(
             kind=kind,
@@ -751,17 +599,36 @@ class AggregationSubstrate:
             touched_hosts=len(result.dirty_hosts),
         )
 
+    def _maintain_locked(
+        self, kind: str, host: int, span: SpanLike
+    ) -> MaintenanceReport:
+        """Patch, else rebuild; caller holds the lock."""
+        self._distances = self.framework.predicted_distance_matrix(
+            allow_partial=True
+        )
+        self._last_churn = None
+        self._snapshot = None
+        report = self._patch_event_locked(kind, host)
+        if report is None:
+            report = replace(self._rebuild_locked(), fallbacks=1)
+        span.set(
+            kind=report.kind,
+            generation=self._generation,
+            rounds=report.rounds,
+            messages=report.messages,
+            touched_hosts=report.touched_hosts,
+            fallbacks=report.fallbacks,
+        )
+        return report
+
     def apply_join(self, host: int) -> MaintenanceReport:
         """Absorb the join of *host* (already applied to the framework).
 
         A join attaches one leaf to the anchor tree and leaves every
-        existing pairwise predicted distance untouched.  On the NumPy
-        backend the compiled stack is *patched* — CSR splice plus a
-        masked re-sweep — keeping the kernel view warm; otherwise (or
-        when any kernel stage declines) the old tables are still a
-        fixed point of everything except the new host's information,
-        so seeded propagation floods exactly that, with a full rebuild
-        as the last rung of the ladder.
+        existing pairwise predicted distance untouched, so the compiled
+        stack is *patched* — CSR splice plus a masked re-sweep — and
+        stays warm.  When the splice declines (the join did not attach
+        a single leaf) the fixed point is rebuilt cold.
         """
         with self._tracer.start_span(
             "substrate.apply_join", host=host
@@ -773,53 +640,7 @@ class AggregationSubstrate:
                     raise QueryError(
                         f"host {host!r} is already part of the substrate"
                     )
-                self._distances = self.framework.predicted_distance_matrix(
-                    allow_partial=True
-                )
-                self._last_churn = None
-                fallbacks = 0
-                report: MaintenanceReport | None = None
-                if self.kernel_churn and active_backend() == "numpy":
-                    report = self._patch_event_locked("join", host)
-                    if report is None:
-                        fallbacks += 1
-                if report is None:
-                    self._kernel_view = None
-                    self._sweep = None
-                    neighbors = self.framework.overlay_neighbors(host)
-                    self._neighbors[host] = list(neighbors)
-                    self._tables[host] = {}
-                    for neighbor in neighbors:
-                        self._neighbors[neighbor] = (
-                            self.framework.overlay_neighbors(neighbor)
-                        )
-                    seeds = {host, *neighbors}
-                    budget = self._round_budget()
-                    rounds, messages, touched, quiesced = (
-                        self._propagate_from(seeds, budget)
-                    )
-                    if not quiesced:
-                        fallbacks += 1
-                        report = self._rebuild_locked()
-                    else:
-                        self._budget = budget
-                        self._generation = self.framework.generation
-                        report = MaintenanceReport(
-                            kind="incremental",
-                            rounds=rounds,
-                            messages=messages,
-                            touched_hosts=len(touched),
-                        )
-                report = replace(report, fallbacks=fallbacks)
-                span.set(
-                    kind=report.kind,
-                    generation=self._generation,
-                    rounds=report.rounds,
-                    messages=report.messages,
-                    touched_hosts=report.touched_hosts,
-                    fallbacks=report.fallbacks,
-                )
-                return report
+                return self._maintain_locked("join", host, span)
 
     def apply_leave(self, host: int) -> MaintenanceReport:
         """Absorb the departure of anchor-leaf *host*.
@@ -828,9 +649,8 @@ class AggregationSubstrate:
         ``remove_host`` returned no re-joined hosts); a restructuring
         departure changes many predicted distances at once and must go
         through :meth:`build` instead.  Like :meth:`apply_join`, the
-        NumPy backend first tries the kernel patch (sound only when the
-        host is a leaf of the *compiled* tree too), then the event-
-        driven path, then a full rebuild.
+        kernel patch comes first (sound only when the host is a leaf of
+        the *compiled* tree too), then a full rebuild.
         """
         with self._tracer.start_span(
             "substrate.apply_leave", host=host
@@ -847,55 +667,7 @@ class AggregationSubstrate:
                         f"host {host!r} is still part of the overlay; "
                         "apply the departure to the framework first"
                     )
-                self._distances = self.framework.predicted_distance_matrix(
-                    allow_partial=True
-                )
-                self._last_churn = None
-                fallbacks = 0
-                report: MaintenanceReport | None = None
-                if self.kernel_churn and active_backend() == "numpy":
-                    report = self._patch_event_locked("leave", host)
-                    if report is None:
-                        fallbacks += 1
-                if report is None:
-                    self._kernel_view = None
-                    self._sweep = None
-                    former = self._neighbors.pop(host)
-                    del self._tables[host]
-                    for neighbor in former:
-                        if neighbor not in self._neighbors:
-                            continue
-                        self._neighbors[neighbor] = (
-                            self.framework.overlay_neighbors(neighbor)
-                        )
-                        self._tables[neighbor].pop(host, None)
-                    seeds = {n for n in former if n in self._neighbors}
-                    budget = self._round_budget()
-                    rounds, messages, touched, quiesced = (
-                        self._propagate_from(seeds, budget)
-                    )
-                    if not quiesced:
-                        fallbacks += 1
-                        report = self._rebuild_locked()
-                    else:
-                        self._budget = budget
-                        self._generation = self.framework.generation
-                        report = MaintenanceReport(
-                            kind="incremental",
-                            rounds=rounds,
-                            messages=messages,
-                            touched_hosts=len(touched),
-                        )
-                report = replace(report, fallbacks=fallbacks)
-                span.set(
-                    kind=report.kind,
-                    generation=self._generation,
-                    rounds=report.rounds,
-                    messages=report.messages,
-                    touched_hosts=report.touched_hosts,
-                    fallbacks=report.fallbacks,
-                )
-                return report
+                return self._maintain_locked("leave", host, span)
 
 
 @dataclass(frozen=True)
@@ -949,10 +721,13 @@ class DecentralizedClusterSearch:
         Optional shared :class:`AggregationSubstrate` over the same
         framework.  When given, the Algorithm 2 fixed point is adopted
         from it (ensuring it first) instead of recomputed, and
-        :meth:`run_aggregation` only runs the per-class CRT pass — the
-        cheap, class-dependent half.  The adopted tables are copied, so
-        later incremental maintenance of the substrate never mutates
-        this search's state.
+        :meth:`run_aggregation` only runs the batched per-class CRT
+        kernel — the cheap, class-dependent half.  The adopted tables
+        are the substrate's shared read-only snapshot of one
+        generation; later maintenance of the substrate replaces that
+        snapshot instead of mutating it, so this search's state never
+        moves.  Without a substrate the search is the paper-literal
+        round protocol.
     tracer:
         Optional :class:`~repro.obs.tracer.TracerLike`;
         :meth:`run_aggregation` emits a ``crt.pass`` span with round
@@ -975,7 +750,8 @@ class DecentralizedClusterSearch:
         self.n_cut = int(n_cut)
         self.pair_order = pair_order
         self._tracer = tracer
-        self._node_info_fixed = False
+        # The adopted kernel view; ``None`` for a standalone search.
+        self._kernel_view: KernelView | None = None
         if substrate is not None:
             if substrate.framework is not framework:
                 raise ValidationError(
@@ -986,16 +762,15 @@ class DecentralizedClusterSearch:
                     f"substrate n_cut={substrate.n_cut} does not match "
                     f"search n_cut={self.n_cut}"
                 )
-            self._distances, snapshot, budget, view = substrate.adopt_view()
+            self._distances, snapshot, self._kernel_view = (
+                substrate.adopt_view()
+            )
             self._states = {
                 host: ClusterNodeState(
                     host=host, neighbors=neighbors, aggr_node=tables
                 )
                 for host, (neighbors, tables) in snapshot.items()
             }
-            self._node_info_fixed = True
-            self._kernel_view: KernelView | None = view
-            self._round_budget_hint: int | None = budget
         else:
             self._distances = framework.predicted_distance_matrix(
                 allow_partial=True
@@ -1007,8 +782,6 @@ class DecentralizedClusterSearch:
                 )
                 for host in framework.hosts
             }
-            self._kernel_view = None
-            self._round_budget_hint = None
         # Cache of own-CRT computations keyed by the local space content;
         # FindCluster is by far the most expensive step of Algorithm 3 and
         # the space only changes while Algorithm 2 is still converging.
@@ -1077,7 +850,14 @@ class DecentralizedClusterSearch:
 
         All messages are computed from the previous round's state and
         applied simultaneously.  Returns ``True`` when any state changed.
+        Only a standalone search runs rounds: a substrate-backed one
+        holds the substrate's shared read-only tables.
         """
+        if self._kernel_view is not None:
+            raise QueryError(
+                "a substrate-backed search adopts its node-info fixed "
+                "point; run_aggregation() runs its CRT kernel"
+            )
         node_updates: dict[tuple[int, int], tuple[int, ...]] = {}
         crt_updates: dict[tuple[int, int], dict[float, int]] = {}
         for state in self._states.values():
@@ -1102,80 +882,47 @@ class DecentralizedClusterSearch:
                 changed = True
         return changed
 
-    def run_crt_round(self) -> bool:
-        """One synchronous round of Algorithm 3 only (Algorithm 2 fixed).
-
-        Used when the node-info tables were adopted from a shared
-        :class:`AggregationSubstrate`: clustering spaces are final, so
-        only the CRT values still need to chase them.  Returns ``True``
-        when any state changed.
-        """
-        crt_updates: dict[tuple[int, int], dict[float, int]] = {}
-        for state in self._states.values():
-            own = self._own_crt(state)
-            for x in state.neighbors:
-                crt_updates[(x, state.host)] = self._propagate_crt(
-                    state, x, own
-                )
-            crt_updates[(state.host, state.host)] = own
-
-        changed = False
-        for (x, m), table in crt_updates.items():
-            if self._states[x].aggr_crt.get(m) != table:
-                self._states[x].aggr_crt[m] = table
-                changed = True
-        return changed
-
     def run_aggregation(
         self, max_rounds: int | None = None
     ) -> AggregationReport:
-        """Run rounds until fixed point (or *max_rounds*).
+        """Run the background mechanisms to their fixed point.
 
-        The default budget is ``2 * diameter + 4`` rounds: node info
-        floods in ``diameter`` rounds and CRT values chase it, so the
-        fixed point always lands inside the budget on a static overlay.
-        On a substrate-backed search only the CRT half runs (node info
-        is already at fixed point), so ``node_info_messages`` is 0 and
-        the round budget comes from the substrate's adoption view — the
-        live anchor tree is never read, so a concurrent membership
-        change cannot perturb an in-flight pass.
+        Standalone, this executes synchronous rounds until nothing
+        changes (or *max_rounds*).  The default budget is ``2 *
+        diameter + 4`` rounds: node info floods in ``diameter`` rounds
+        and CRT values chase it, so the fixed point always lands inside
+        the budget on a static overlay.
 
-        When the substrate handed over a compiled :class:`KernelView`
-        (NumPy backend), the CRT half is evaluated by the batched
-        kernel instead of rounds; *max_rounds* is then irrelevant (the
-        closed form is exact, not iterative).
+        On a substrate-backed search node info is already at fixed
+        point, so only Algorithm 3 runs, as the batched kernel over the
+        adopted :class:`KernelView`: ``node_info_messages`` is 0 and
+        *max_rounds* is irrelevant (the closed form is exact, not
+        iterative).  The live anchor tree is never read, so a
+        concurrent membership change cannot perturb an in-flight pass.
         """
-        if self._node_info_fixed and self._kernel_view is not None:
+        if self._kernel_view is not None:
             return self._run_aggregation_kernel()
         if max_rounds is None:
-            if self._round_budget_hint is not None:
-                max_rounds = self._round_budget_hint
-            else:
-                anchor = self.framework.anchor_tree
-                max_rounds = 2 * max(anchor.diameter(), 1) + 4
+            anchor = self.framework.anchor_tree
+            max_rounds = 2 * max(anchor.diameter(), 1) + 4
         edges = sum(len(s.neighbors) for s in self._states.values())
-        step = (
-            self.run_crt_round if self._node_info_fixed else self.run_round
-        )
         with self._tracer.start_span(
             "crt.pass",
             classes=len(self.classes.distance_classes),
-            substrate_backed=self._node_info_fixed,
+            substrate_backed=False,
         ) as span:
             rounds = 0
             converged = False
             for _ in range(max_rounds):
                 rounds += 1
-                if not step():
+                if not self.run_round():
                     converged = True
                     break
             self._aggregated = True
             report = AggregationReport(
                 rounds=rounds,
                 converged=converged,
-                node_info_messages=(
-                    0 if self._node_info_fixed else rounds * edges
-                ),
+                node_info_messages=rounds * edges,
                 crt_messages=rounds * edges,
             )
             span.set(
@@ -1203,7 +950,6 @@ class DecentralizedClusterSearch:
             "crt.pass",
             classes=len(classes),
             substrate_backed=True,
-            backend="numpy",
         ) as span:
             with self._tracer.start_span(
                 "kernel.sweep",

@@ -169,9 +169,10 @@ class LintError(ReproError):
 
 
 class KernelError(ReproError):
-    """The vectorized kernel layer (``repro.kernels``) was misconfigured
-    (unknown ``REPRO_KERNELS`` backend, numpy requested but missing) or
-    fed a non-tree overlay."""
+    """The vectorized kernel layer (``repro.kernels``) was fed input it
+    cannot compile or patch — e.g. an overlay whose neighbor lists do
+    not form a tree.  The kernels are the only implementation, so a
+    substrate build surfaces this error instead of switching paths."""
 
     code = 120
 
@@ -180,9 +181,8 @@ class TreePatchFallback(KernelError):
     """An incremental CSR tree patch declined the change: the membership
     event restructures the compiled tree beyond a single leaf splice
     (departing host still has children, host missing from the compiled
-    overlay, ...).  The caller falls back down the maintenance ladder —
-    Python event path, then full rebuild — exactly as when the
-    event-driven path's round budget is exhausted."""
+    overlay, ...).  The caller takes the other rung of the maintenance
+    ladder: a full rebuild."""
 
     code = 121
 

@@ -1,79 +1,32 @@
-"""``repro.kernels`` — vectorized cold-path kernels with a runtime
-backend switch.
+"""``repro.kernels`` — the vectorized aggregation stack.
 
 The cold path (one Algorithm 2 substrate build plus one Algorithm 3
 CRT pass per bandwidth class) dominates every generation bump.  This
-package replaces its iterate-until-quiescent fixed points with exact
-level-order array sweeps over a compiled anchor tree:
+package computes those fixed points with exact level-order array
+sweeps over a compiled anchor tree instead of iterate-until-quiescent
+rounds:
 
 * :mod:`repro.kernels.tree` — CSR-style tree compilation;
-* :mod:`repro.kernels.aggr` — the Algorithm 2 node-info sweep;
+* :mod:`repro.kernels.aggr` — the Algorithm 2 node-info sweep and the
+  clustering spaces derived from its arrays;
 * :mod:`repro.kernels.crt` — batched per-class CRT kernels;
+* :mod:`repro.kernels.churn` — splice + masked re-sweep that carry the
+  compiled arrays across a single-leaf membership event;
 * :mod:`repro.kernels.answers` — dense per-``(generation, class)``
   answer tables that turn the warm Algorithm 4 walk plus cluster
   extraction into a binary search and a gather.
 
-Backend selection is runtime, via ``REPRO_KERNELS``:
+These kernels are the only production implementation.  The paper-
+literal round protocol survives as the standalone
+:class:`~repro.core.decentralized.DecentralizedClusterSearch` (used by
+the simulator and the experiments), and it is the oracle the
+differential tests in ``tests/core/test_kernels.py`` hold every kernel
+to, bit for bit.
 
-* ``auto`` (or unset) — use NumPy when importable, else fall back to
-  the pure-Python round protocol in :mod:`repro.core.decentralized`;
-* ``numpy`` — require the vectorized kernels (raise
-  :class:`~repro.exceptions.KernelError` when NumPy is missing);
-* ``python`` — force the reference protocol (the CI fallback leg and
-  the benchmark baseline).
-
-Both backends produce bit-identical aggregation tables; differential
-tests in ``tests/core/test_kernels.py`` enforce it.
-
-This module deliberately imports no submodule at top level: callers on
-the ``python`` backend must be able to import it without NumPy
-installed.  Layering is enforced by lint rule RPR010 — kernels may
-depend only on the stdlib, NumPy, ``repro.metrics``, and
-``repro.exceptions``.
+Layering is enforced by lint rule RPR010 — kernels may depend only on
+the stdlib, NumPy, ``repro.metrics``, and ``repro.exceptions``.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-
-from repro.exceptions import KernelError
-
-__all__ = ["BACKEND_ENV", "active_backend", "numpy_available"]
-
-#: Environment variable holding the backend choice.
-BACKEND_ENV = "REPRO_KERNELS"
-
-_numpy_spec: bool | None = None
-
-
-def numpy_available() -> bool:
-    """Whether NumPy is importable (cached after the first probe)."""
-    global _numpy_spec
-    if _numpy_spec is None:
-        _numpy_spec = importlib.util.find_spec("numpy") is not None
-    return _numpy_spec
-
-
-def active_backend() -> str:
-    """Resolve ``REPRO_KERNELS`` to ``"numpy"`` or ``"python"``.
-
-    Read per call, not at import: tests and operators flip the
-    variable at runtime and expect the very next build to honor it.
-    """
-    value = os.environ.get(BACKEND_ENV, "auto").strip().lower()
-    if value in ("", "auto"):
-        return "numpy" if numpy_available() else "python"
-    if value == "numpy":
-        if not numpy_available():
-            raise KernelError(
-                f"{BACKEND_ENV}=numpy but NumPy is not importable; "
-                "install numpy or select the 'python' backend"
-            )
-        return "numpy"
-    if value == "python":
-        return "python"
-    raise KernelError(
-        f"unknown {BACKEND_ENV} backend {value!r}: "
-        "expected 'auto', 'numpy', or 'python'"
-    )
+__all__: list[str] = []

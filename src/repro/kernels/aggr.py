@@ -37,7 +37,8 @@ from repro.kernels.tree import TreeCSR
 __all__ = [
     "node_info_sweep",
     "node_info_resweep",
-    "sweep_entry",
+    "clustering_space",
+    "clustering_spaces",
     "tables_from_sweep",
 ]
 
@@ -309,35 +310,56 @@ def node_info_resweep(
     return changed_up, changed_down, recomputed
 
 
-def sweep_entry(csr: TreeCSR, row: np.ndarray) -> tuple[int, ...]:
-    """One sweep row as the substrate's table entry (sorted host ids)."""
-    kept = row[row >= 0]
-    return tuple(sorted(int(h) for h in csr.host_ids[kept]))
+def clustering_space(
+    csr: TreeCSR, up: np.ndarray, down: np.ndarray, node: int
+) -> tuple[int, ...]:
+    """``V_x = {x} ∪ ⋃_v aggrNode[v]`` of compact *node*, as sorted ids.
+
+    Read straight off the sweep arrays: the tables a node holds about
+    its children are their ``up`` rows, the one about its parent is its
+    own ``down`` row.  The single definition shared by the cold build
+    and the churn re-sweep.
+    """
+    members = up[int(csr.child_start[node]) : int(csr.child_end[node])]
+    kept = members[members >= 0].tolist()
+    if int(csr.parent[node]) >= 0:
+        row = down[node]
+        kept += row[row >= 0].tolist()
+    ids = csr.host_ids
+    return tuple(sorted({int(ids[node]), *ids[kept].tolist()}))
+
+
+def clustering_spaces(
+    csr: TreeCSR, up: np.ndarray, down: np.ndarray
+) -> list[tuple[int, ...]]:
+    """:func:`clustering_space` of every compact node, in CSR order."""
+    return [clustering_space(csr, up, down, x) for x in range(csr.size)]
+
+
+def _entries(csr: TreeCSR, rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Sweep rows as table entries: sorted host-id tuples, pads dropped."""
+    mapped = np.where(rows >= 0, csr.host_ids[rows], -1)
+    mapped.sort(axis=1)
+    return [tuple(h for h in row if h >= 0) for row in mapped.tolist()]
 
 
 def tables_from_sweep(
     csr: TreeCSR, up: np.ndarray, down: np.ndarray
 ) -> dict[int, dict[int, tuple[int, ...]]]:
-    """Materialize sweep results as the substrate's table-of-dicts.
+    """Materialize sweep results as ``{host: {neighbor: sorted ids}}``.
 
-    Output matches :class:`repro.core.decentralized.
-    AggregationSubstrate` exactly: ``{host: {neighbor: sorted tuple of
-    host ids}}`` — the id-sorted presentation the reference protocol
-    stores.
+    The id-sorted table-of-dicts presentation the round protocol
+    stores, so the two compare with ``==``.
     """
-
-    def entry(row: np.ndarray) -> tuple[int, ...]:
-        kept = row[row >= 0]
-        return tuple(sorted(int(h) for h in csr.host_ids[kept]))
-
-    tables: dict[int, dict[int, tuple[int, ...]]] = {
-        int(host): {} for host in csr.host_ids
-    }
-    for index in range(csr.size):
-        host = int(csr.host_ids[index])
-        parent = int(csr.parent[index])
-        if parent >= 0:
-            # What the parent knows about this subtree, and vice versa.
-            tables[int(csr.host_ids[parent])][host] = entry(up[index])
-            tables[host][int(csr.host_ids[parent])] = entry(down[index])
+    ids = csr.host_ids.tolist()
+    tables: dict[int, dict[int, tuple[int, ...]]] = {h: {} for h in ids}
+    if csr.size <= 1:
+        return tables
+    parents = csr.parent[1:].tolist()
+    ups = _entries(csr, up[1:])
+    downs = _entries(csr, down[1:])
+    for host, parent, toward, away in zip(ids[1:], parents, ups, downs):
+        # What the parent knows about this subtree, and vice versa.
+        tables[ids[parent]][host] = toward
+        tables[host][ids[parent]] = away
     return tables

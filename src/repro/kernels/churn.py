@@ -1,13 +1,9 @@
 """Incremental maintenance kernels for membership churn.
 
-A membership event under the compiled stack used to be a demolition:
-``AggregationSubstrate.apply_join``/``apply_leave`` ran the pure-Python
-event-driven protocol and dropped the :class:`~repro.kernels.tree.
-TreeCSR`, the CRT precompute, and every answer table, so the next warm
-batch paid full recompilation.  But the overlay change itself is tiny —
-the prediction-tree framework always attaches a join as a single leaf,
-and most departures remove one — so the compiled arrays can be
-*patched*:
+A membership event need not recompile the stack: the prediction-tree
+framework always attaches a join as a single leaf, and most departures
+remove one, so the compiled arrays held by
+``AggregationSubstrate`` can be *patched*:
 
 1. **Topology splice** (:func:`splice_join` / :func:`splice_leave`):
    :meth:`TreeCSR.patch_join`/:meth:`~TreeCSR.patch_leaf_leave` rewrite
@@ -18,13 +14,14 @@ and most departures remove one — so the compiled arrays can be
 2. **Masked re-sweep** (:func:`resweep`): :func:`~repro.kernels.aggr.
    node_info_resweep` recomputes only the rows the splice can have
    perturbed, then the clustering spaces of exactly the nodes whose
-   tables changed are re-derived.  Results are bit-identical to a full
+   tables changed are re-derived with :func:`~repro.kernels.aggr.
+   clustering_space`.  Results are bit-identical to a full
    recompile (differential- and hypothesis-tested).
 
 Events the splice premise cannot absorb — an interior departure whose
 subtree re-attaches, removal of the compiled root — raise
 :class:`~repro.exceptions.TreePatchFallback`, and the caller walks down
-the maintenance ladder: Python event path, then full rebuild.
+the maintenance ladder to its only other rung, a full rebuild.
 
 This module is numpy-pure (no core/service imports — see lint rule
 RPR010); the substrate assembles the results back into its
@@ -37,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.aggr import _rank_rows, node_info_resweep
+from repro.kernels.aggr import clustering_space, node_info_resweep
 from repro.kernels.tree import TreeCSR
 
 __all__ = [
     "TopologyPatch",
     "ChurnResult",
-    "arrays_from_tables",
     "splice_join",
     "splice_leave",
     "resweep",
@@ -81,11 +77,10 @@ class ChurnResult:
 
     ``up``/``down`` are the post-event sweep arrays (bit-identical to a
     full :func:`~repro.kernels.aggr.node_info_sweep` of ``csr``);
-    ``changed_up[i]``/``changed_down[i]`` mark the directed-edge tables
-    that were rewritten; ``spaces`` is the full post-event clustering
-    space list; ``dirty_hosts`` is every host whose tables or space
-    changed (plus the churned host itself) — the unit the answer-table
-    patch sizes its rebuild-threshold decision on.
+    ``spaces`` is the full post-event clustering space list;
+    ``dirty_hosts`` is every host whose tables or space changed (plus
+    the churned host itself) — the unit the answer-table patch sizes
+    its rebuild-threshold decision on.
     """
 
     kind: str
@@ -93,50 +88,10 @@ class ChurnResult:
     spaces: list[tuple[int, ...]]
     up: np.ndarray
     down: np.ndarray
-    changed_up: np.ndarray
-    changed_down: np.ndarray
     dirty_hosts: frozenset[int]
     recomputed: int
     position: int
     host: int
-
-
-def arrays_from_tables(
-    csr: TreeCSR,
-    tables: dict[int, dict[int, tuple[int, ...]]],
-    n_cut: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reconstruct canonical sweep arrays from the substrate's tables.
-
-    The inverse of :func:`~repro.kernels.aggr.tables_from_sweep`, used
-    when a view was compiled on demand (the sweep arrays were not
-    retained) but a patch now needs them.  Entries are re-ranked
-    through the same ``(distance, id)`` lexsort as the sweeps, so the
-    output is canonical: element-wise equal to what a fresh
-    :func:`~repro.kernels.aggr.node_info_sweep` produces, which is what
-    lets the re-sweep's early-stop row comparisons work.
-    """
-    size = csr.size
-    up = np.full((size, n_cut), -1, dtype=np.int64)
-    down = np.full((size, n_cut), -1, dtype=np.int64)
-    if size <= 1:
-        return up, down
-    compact = {int(h): i for i, h in enumerate(csr.host_ids)}
-    up_cand = np.full((size - 1, n_cut), -1, dtype=np.int64)
-    down_cand = np.full((size - 1, n_cut), -1, dtype=np.int64)
-    for index in range(1, size):
-        host = int(csr.host_ids[index])
-        parent_host = int(csr.host_ids[csr.parent[index]])
-        for slot, member in enumerate(tables[parent_host][host]):
-            up_cand[index - 1, slot] = compact[member]
-        for slot, member in enumerate(tables[host][parent_host]):
-            down_cand[index - 1, slot] = compact[member]
-    nodes = np.arange(1, size, dtype=np.int64)
-    up[1:] = _rank_rows(
-        up_cand, csr.parent[1:], csr.dist, csr.host_ids, n_cut
-    )
-    down[1:] = _rank_rows(down_cand, nodes, csr.dist, csr.host_ids, n_cut)
-    return up, down
 
 
 def splice_join(
@@ -179,7 +134,7 @@ def splice_leave(
 
     Raises :class:`~repro.exceptions.TreePatchFallback` when *host* is
     not a leaf of the compiled tree (or is its root) — those events
-    restructure the overlay and must take the slower ladder rungs.
+    restructure the overlay and must take the full-rebuild rung.
     """
     patched, position = csr.patch_leaf_leave(host)
     # The former parent's compact index precedes the leaf's, so it is
@@ -255,14 +210,7 @@ def resweep(
     if patch.kind == "join":
         affected.add(patch.position)
     for x in affected:
-        members = {int(csr.host_ids[x])}
-        for child in range(int(csr.child_start[x]), int(csr.child_end[x])):
-            members.update(
-                int(csr.host_ids[i]) for i in up[child] if i >= 0
-            )
-        if int(csr.parent[x]) >= 0:
-            members.update(int(csr.host_ids[i]) for i in down[x] if i >= 0)
-        new_spaces[x] = tuple(sorted(members))
+        new_spaces[x] = clustering_space(csr, up, down, x)
 
     dirty = {int(csr.host_ids[x]) for x in affected}
     dirty.add(patch.host)
@@ -272,8 +220,6 @@ def resweep(
         spaces=new_spaces,
         up=up,
         down=down,
-        changed_up=changed_up,
-        changed_down=changed_down,
         dirty_hosts=frozenset(dirty),
         recomputed=recomputed,
         position=patch.position,

@@ -29,7 +29,6 @@ Three pieces replace the per-class round protocol:
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from repro.metrics.metric import submatrix
 __all__ = [
     "SpaceTable",
     "CrtPrecompute",
-    "clustering_spaces",
     "crt_sweep",
     "crt_tables",
 ]
@@ -226,26 +224,6 @@ class CrtPrecompute:
                 cache[space] = done
             own[row] = done
         return own
-
-
-def clustering_spaces(
-    csr: TreeCSR,
-    tables: Mapping[int, Mapping[int, tuple[int, ...]]],
-) -> list[tuple[int, ...]]:
-    """Per compact node: ``V_x = {x} ∪ ⋃_v aggrNode[v]`` as sorted ids.
-
-    *tables* is the substrate's fixed point (``{host: {neighbor:
-    node ids}}``), whichever backend computed it; results align with
-    the CSR's compact numbering.
-    """
-    spaces: list[tuple[int, ...]] = []
-    for index in range(csr.size):
-        host = int(csr.host_ids[index])
-        members = {host}
-        for nodes in tables[host].values():
-            members.update(nodes)
-        spaces.append(tuple(sorted(members)))
-    return spaces
 
 
 def crt_sweep(

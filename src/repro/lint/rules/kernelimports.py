@@ -4,10 +4,9 @@
 protocol layer calls *into* it, the service layer sits above that, and
 the observability spans around kernel work are emitted by the callers.
 A kernel module that imports ``repro.service``/``repro.sim``/
-``repro.obs`` (or any other high layer) inverts that order and — since
-the kernels must stay importable on NumPy-free installs via the
-backend switch — quietly drags half the library into the fallback
-path.  Kernel modules may import only:
+``repro.obs`` (or any other high layer) inverts that order and creates
+an import cycle through the core layer that calls it.  Kernel modules
+may import only:
 
 * the standard library,
 * ``numpy``,

@@ -3,7 +3,7 @@
 The whole concurrency story of the service rests on one convention
 (DESIGN.md §6/§11, PAPER.md Alg. 2–4): per-query code never touches
 live substrate state — it **adopts** an immutable view
-(``adopt()`` / ``adopt_view()`` / ``snapshot()``), and only the
+(``adopt_view()`` / ``snapshot()``), and only the
 membership/maintenance paths (which hold the membership lock) may
 drive the substrate's mutating API.  A query path that calls
 ``substrate.build()`` directly, pokes a private substrate method, or
@@ -21,8 +21,8 @@ substrate's own module (the substrate is internally synchronized —
 its own internals are its business):
 
 * calls on a substrate-typed or substrate-named receiver to anything
-  but the sanctioned read API (``adopt``, ``adopt_view``,
-  ``snapshot``, ``warm_kernel``, ``peek``) — mutating methods and
+  but the sanctioned read API (``adopt_view``, ``snapshot``,
+  ``peek``) — mutating methods and
   ``_private`` internals alike;
 * attribute writes through a substrate receiver
   (``self._substrate.x = ...``) or to ``KernelView``-ish bindings
@@ -53,10 +53,8 @@ SUBSTRATE_CLASS = "AggregationSubstrate"
 #: The read-only adoption facade: callable from anywhere.
 SANCTIONED = frozenset(
     {
-        "adopt",
         "adopt_view",
         "snapshot",
-        "warm_kernel",
         "peek",
         # read-only properties accessed as calls via getattr patterns
         "generation",
@@ -143,8 +141,8 @@ class SnapshotDisciplineRule(Rule):
 
     rule_id = "RPR014"
     summary = (
-        "per-query paths must adopt substrate state (adopt/"
-        "adopt_view), never mutate it or reach into its internals"
+        "per-query paths must adopt substrate state (adopt_view/"
+        "snapshot), never mutate it or reach into its internals"
     )
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
@@ -212,7 +210,7 @@ class SnapshotDisciplineRule(Rule):
                 site.node,
                 self.rule_id,
                 f"{kind} .{site.name}() on a per-query path — reads "
-                "go through adopt()/adopt_view(); mutation belongs "
+                "go through adopt_view()/snapshot(); mutation belongs "
                 f"to the membership path{via}",
             )
         # Attribute writes through substrate/view receivers.

@@ -18,10 +18,10 @@ regime in-process:
 * membership changes (``add_host`` / ``remove_host``) bump the overlay
   generation, which structurally invalidates every cached answer — a
   query can never return a cluster computed against a stale overlay.
-  The substrate itself survives single-host changes: it is maintained
-  *incrementally* (seeded re-propagation around the changed host),
-  falling back to a cold rebuild only when the anchor tree
-  restructured (a departure that displaced descendants).
+  The substrate itself survives single-leaf changes: the churn kernels
+  patch the change into its compiled arrays, falling back to a cold
+  rebuild only when the anchor tree restructured (a departure that
+  displaced descendants) or the patch declined.
 
 See DESIGN.md §6 ("Service layer") for the invalidation scheme.
 """
@@ -44,7 +44,6 @@ from repro.exceptions import (
     ServiceError,
     StaleGenerationError,
 )
-from repro.kernels import active_backend
 from repro.kernels.answers import AnswerTable, build_answer_table
 from repro.obs import NOOP_SPAN, NOOP_TRACER, SpanLike, TracerLike
 from repro.predtree.framework import (
@@ -176,12 +175,6 @@ class ClusterQueryService:
         controller admits everything (no bound, no rate limit) but
         still enforces deadlines and counts outcomes into this
         service's telemetry.
-    patch_churn:
-        Whether membership changes may be absorbed by the kernel churn
-        path (substrate splice + answer-table patching; see DESIGN.md
-        §9).  On by default; turning it off restores the invalidate-
-        everything behaviour — useful as the baseline in churn
-        benchmarks and as an operational escape hatch.
 
     Notes
     -----
@@ -206,7 +199,6 @@ class ClusterQueryService:
         telemetry: ServiceTelemetry | None = None,
         tracer: TracerLike | None = None,
         admission: AdmissionController | None = None,
-        patch_churn: bool = True,
     ) -> None:
         if framework.size < 2:
             raise ServiceError(
@@ -217,7 +209,6 @@ class ClusterQueryService:
         self._classes = classes
         self._n_cut = int(n_cut)
         self._pair_order = pair_order
-        self._patch_churn = bool(patch_churn)
         self._results: LRUCache[_ResultKey, _CachedAnswer] = LRUCache(
             cache_size
         )
@@ -324,10 +315,8 @@ class ClusterQueryService:
         """Join *host* to the overlay; bumps the generation.
 
         The shared aggregation substrate is carried across the change
-        incrementally — under the NumPy backend by splicing the joined
-        host straight into the compiled CSR arrays and re-sweeping only
-        the dirty subtree, otherwise by seeded re-propagation from the
-        joined host's overlay neighborhood.  When the kernel patch
+        by splicing the joined host straight into the compiled CSR
+        arrays and re-sweeping only the dirty subtree.  When that patch
         succeeds, memoized answer tables are patched to the new
         generation instead of invalidated, so the warm query path stays
         warm across the join.
@@ -355,9 +344,8 @@ class ClusterQueryService:
         remove_host`).  After this returns, no query — cached or fresh —
         can ever yield a cluster containing *host*.
 
-        A leaf departure (no re-joins) is absorbed into the aggregation
-        substrate incrementally — kernel-patched in place when the
-        NumPy backend is active, with memoized answer tables patched
+        A leaf departure (no re-joins) is kernel-patched into the
+        aggregation substrate, with memoized answer tables patched
         rather than invalidated.  A departure that displaced
         descendants restructured the anchor tree, so the substrate is
         dropped and rebuilt cold by the next query.
@@ -386,7 +374,7 @@ class ClusterQueryService:
         Call this after mutating anything the service cannot observe,
         e.g. editing the ground-truth bandwidth matrix in place.  The
         substrate is dropped too: an unobserved change may have moved
-        predicted distances, which incremental maintenance cannot see.
+        predicted distances, which the churn patch cannot see.
         """
         with self._membership_lock:
             self._epoch += 1
@@ -413,17 +401,17 @@ class ClusterQueryService:
         """Carry the substrate across one membership change.
 
         Caller holds the membership lock and has already applied the
-        change to the framework.  Incremental maintenance is sound only
-        when the held substrate is exactly one generation behind and
-        the change did not restructure the anchor tree; anything else
-        drops the memo so the next query rebuilds cold.
+        change to the framework.  Carrying the substrate is sound only
+        when the held one is exactly one generation behind and the
+        change did not restructure the anchor tree or empty the
+        overlay; anything else drops the memo so the next query
+        rebuilds cold.
 
         Returns the substrate's :class:`~repro.core.decentralized.
         ChurnEvent` when the change was absorbed by the kernel patch
-        path — the caller uses it to patch memoized answer tables
-        instead of invalidating them.  Returns ``None`` for every
-        other outcome (no held substrate, memo dropped, Python event
-        path, full rebuild).
+        — the caller uses it to patch memoized answer tables instead
+        of invalidating them.  Returns ``None`` for every other
+        outcome (no held substrate, memo dropped, full rebuild).
         """
         held = self._substrate.peek()
         if held is None:
@@ -434,6 +422,7 @@ class ClusterQueryService:
             change is None
             or change.rejoined
             or held_generation != generation - 1
+            or not self._framework.hosts
         ):
             self._substrate.invalidate()
             return None
@@ -448,13 +437,11 @@ class ClusterQueryService:
         if report.kind == "patch":
             self._telemetry.record_kernel_patch()
             event = substrate.take_churn_event()
-        elif report.kind == "incremental":
-            self._telemetry.record_incremental_update()
         else:
-            # The incremental budget was exhausted and the substrate
-            # rebuilt cold — that is a substrate build, histogram
-            # included, so maintenance-triggered cold paths show up in
-            # the same latency statistics as first-query builds.
+            # The patch declined and the substrate rebuilt cold — that
+            # is a substrate build, histogram included, so
+            # maintenance-triggered cold paths show up in the same
+            # latency statistics as first-query builds.
             self._telemetry.record_substrate_build(
                 time.perf_counter() - began
             )
@@ -515,11 +502,15 @@ class ClusterQueryService:
         """
 
         def build() -> AggregationSubstrate:
+            if not self._framework.hosts:
+                raise ServiceError(
+                    "cannot answer queries on an empty overlay — every "
+                    "host has departed; add_host() before submitting"
+                )
             substrate = AggregationSubstrate(
                 self._framework,
                 n_cut=self._n_cut,
                 tracer=self._tracer,
-                kernel_churn=self._patch_churn,
             )
             began = time.perf_counter()
             substrate.ensure()
@@ -550,15 +541,13 @@ class ClusterQueryService:
         :class:`~repro.exceptions.StaleGenerationError` when the
         overlay has already moved on.
 
-        Besides the Algorithm 2 fixed point this also warms the
-        substrate's compiled kernel view (NumPy backend), so worker
-        threads adopt pre-compiled arrays instead of serializing
-        behind the first adopter's compile.
+        The build compiles the substrate's kernel view too, so worker
+        threads adopt pre-compiled arrays instead of serializing behind
+        the first adopter's compile.
         """
-        substrate = self._substrate_for(
+        self._substrate_for(
             self.generation if generation is None else generation
         )
-        substrate.warm_kernel()
 
     def _class_search(
         self, snapped: float, generation: int
@@ -605,10 +594,9 @@ class ClusterQueryService:
         Built lazily from the same adopted substrate view the kernel
         CRT pass consumes — the own values and edge CRT thresholds are
         shared arrays, so routing decisions are bit-identical to the
-        per-query reference by construction.  Returns ``None`` when no
-        compiled kernel view exists (pure-Python backend, or an
-        overlay the tree compiler rejected); callers fall back to the
-        per-query path.
+        per-query reference by construction.  Returns ``None`` when the
+        table builder raises a :class:`~repro.exceptions.KernelError`;
+        callers fall back to the per-query path.
         """
         table = self._answer_tables.get(snapped, generation)
         if table is not None:
@@ -617,9 +605,7 @@ class ClusterQueryService:
         with self._tracer.start_span(
             "answer.build", snapped_b=snapped, generation=generation
         ) as span:
-            distances, snapshot, _budget, view = substrate.adopt_view()
-            if view is None:
-                return None
+            distances, snapshot, view = substrate.adopt_view()
             neighbors = {
                 host: list(entry[0])
                 for host, entry in snapshot.items()
@@ -660,7 +646,6 @@ class ClusterQueryService:
         the vectorized path does not apply, and the caller (the batch
         executor) runs the per-query path instead:
 
-        * the NumPy kernel backend is off, or no kernel view compiles;
         * the class is cold for *generation* — no memoized per-class
           aggregation AND no answer table (the per-query path must run
           anyway to pay the CRT pass, and keeping cold batches on it
@@ -679,8 +664,6 @@ class ClusterQueryService:
         generation re-validation as the per-query path.
         """
         began = time.perf_counter()
-        if active_backend() != "numpy":
-            return None
         table = self._answer_tables.get(snapped, generation)
         if (
             table is None
@@ -893,17 +876,12 @@ class ClusterQueryService:
         # unguarded no-op span calls are in the noise here.
         span.set(cache="miss")
         search = self._class_search(snapped, generation)
-        # Host membership comes from the search's adopted snapshot, not
-        # the live framework: both the emptiness check and the default
-        # entry host must describe the pinned generation, not whatever
-        # the overlay mutated into while this query was in flight.
-        hosts = search.hosts
-        if not hosts:
-            raise ServiceError(
-                "cannot answer queries on an empty overlay — every host "
-                "has departed; add_host() before submitting"
-            )
-        entry = start if start is not None else hosts[0]
+        # The default entry host comes from the search's adopted
+        # snapshot, not the live framework: it must describe the pinned
+        # generation, not whatever the overlay mutated into while this
+        # query was in flight.  (An empty overlay never gets this far:
+        # the substrate build refuses it.)
+        entry = start if start is not None else search.hosts[0]
         with span.start_span("service.route", entry=entry) as route:
             outcome = search.process_query(query.k, snapped, start=entry)
             route.set(hops=outcome.hops, found=bool(outcome.cluster))

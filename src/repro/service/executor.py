@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.core.query import BandwidthClasses, ClusterQuery
 from repro.exceptions import ServiceError
-from repro.kernels import active_backend
 from repro.obs import NOOP_SPAN, SpanLike
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -164,7 +163,6 @@ class BatchExecutor:
         span.set(
             generation=generation,
             classes=len(groups),
-            backend=active_backend(),
         )
         results: list[ServiceResult | None] = [None] * len(queries)
 
@@ -199,8 +197,8 @@ class BatchExecutor:
                 # Warm classes take the vectorized answer-table path:
                 # the whole group becomes one gather instead of
                 # len(indices) reference walks.  submit_group returns
-                # None whenever it does not apply (cold class, python
-                # backend, uncovered entry host), and the per-query
+                # None whenever it does not apply (cold class, uncovered
+                # entry host), and the per-query
                 # loop below remains the authoritative fallback.
                 grouped = service.submit_group(
                     snapped, indices, queries, generation, start=start

@@ -118,7 +118,7 @@ class LoadGenReport:
             ["cache hits", t.cache_hits],
             ["cache misses", t.cache_misses],
             ["substrate builds", t.substrate_builds],
-            ["incremental updates", t.incremental_updates],
+            ["kernel patches", t.kernel_patches],
             ["per-class CRT passes", t.aggregation_builds],
             ["p50 latency (ms)", f"{t.latency_p50_s * 1e3:.3f}"],
             ["p95 latency (ms)", f"{t.latency_p95_s * 1e3:.3f}"],

@@ -118,9 +118,6 @@ class TelemetrySnapshot:
         expensive class-independent build every class shares.  A warm
         multi-class batch should show exactly 1 of these however many
         classes it touches.
-    incremental_updates:
-        Membership changes absorbed by seeded re-propagation instead
-        of a substrate rebuild.
     batches:
         ``submit_batch`` calls executed.
     membership_changes:
@@ -150,16 +147,15 @@ class TelemetrySnapshot:
     kernel_patches:
         Membership changes absorbed by the kernel churn path (CSR
         splice + masked re-sweep) with the compiled stack kept warm —
-        the cheapest maintenance outcome, counted separately from
-        :attr:`incremental_updates` (the Python event path).
+        the cheap outcome of the two-rung maintenance ladder.
     answer_table_patches:
         Answer tables migrated across a membership event by
         :meth:`~repro.service.cache.AnswerTableMemo.patch` instead of
         being dropped and rebuilt.
     patch_fallbacks:
-        Maintenance-ladder rungs that declined a membership event
-        (kernel patch refused a restructuring change, or the event
-        path's round budget ran out) before a slower rung absorbed it.
+        Membership events the kernel patch declined (a change that
+        restructured the compiled tree) and a substrate rebuild
+        absorbed instead.
     admitted / shed / throttled / expired:
         Admission outcomes (see :mod:`repro.service.admission`):
         requests let in, rejected at the pending-work bound, rejected
@@ -178,7 +174,6 @@ class TelemetrySnapshot:
     cache_misses: int
     aggregation_builds: int
     substrate_builds: int
-    incremental_updates: int
     batches: int
     membership_changes: int
     unsatisfied: int
@@ -258,7 +253,6 @@ class ServiceTelemetry:
         self._cache_misses = 0
         self._aggregation_builds = 0
         self._substrate_builds = 0
-        self._incremental_updates = 0
         self._batches = 0
         self._membership_changes = 0
         self._unsatisfied = 0
@@ -348,11 +342,6 @@ class ServiceTelemetry:
             self._expired += 1
             self._admission_window.push(True)
 
-    def record_incremental_update(self) -> None:
-        """Account one membership change absorbed incrementally."""
-        with self._lock:
-            self._incremental_updates += 1
-
     def record_batch(self) -> None:
         """Account one batch execution."""
         with self._lock:
@@ -379,7 +368,6 @@ class ServiceTelemetry:
                 cache_misses=self._cache_misses,
                 aggregation_builds=self._aggregation_builds,
                 substrate_builds=self._substrate_builds,
-                incremental_updates=self._incremental_updates,
                 batches=self._batches,
                 membership_changes=self._membership_changes,
                 unsatisfied=self._unsatisfied,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core.find_cluster import find_cluster, max_cluster_size
 from repro.exceptions import KernelError
 from repro.kernels.answers import SpaceAnswers, build_answer_table
-from repro.kernels.crt import CrtPrecompute, clustering_spaces
+from repro.kernels.crt import CrtPrecompute
 from repro.kernels.tree import compile_tree
 from repro.metrics.metric import submatrix
 
@@ -27,6 +27,7 @@ from tests.core.test_kernels import (
     random_overlay,
     reference_crt,
     reference_node_info,
+    reference_spaces,
 )
 
 LS = [0.0, 1.0, 3.5, 8.0, 15.0, 40.0]
@@ -160,7 +161,7 @@ def reference_walk(neighbors, crt, spaces_by_host, d, k, l, entry, pair_order):
 def _table_and_reference(neighbors, d, n_cut, l, pair_order):
     csr = compile_tree(neighbors, d.values)
     node_tables = reference_node_info(neighbors, d, n_cut)
-    spaces = clustering_spaces(csr, node_tables)
+    spaces = reference_spaces(csr, node_tables)
     pre = CrtPrecompute(d.values)
     table = build_answer_table(
         csr, spaces, pre, neighbors, d.values, l, pair_order=pair_order
@@ -234,7 +235,7 @@ class TestAnswerTable:
         d = random_distances(6, seed=50, quantize=True)
         csr = compile_tree(neighbors, d.values)
         node_tables = reference_node_info(neighbors, d, 2)
-        spaces = clustering_spaces(csr, node_tables)
+        spaces = reference_spaces(csr, node_tables)
         pre = CrtPrecompute(d.values)
         partial = {
             host: list(adjacent)

@@ -16,21 +16,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decentralized import AggregationSubstrate
+from repro.core.decentralized import (
+    AggregationSubstrate,
+    DecentralizedClusterSearch,
+)
+from repro.core.query import BandwidthClasses
 from repro.datasets.planetlab import hp_planetlab_like
 from repro.exceptions import TreePatchFallback
-from repro.kernels.aggr import node_info_sweep, tables_from_sweep
-from repro.kernels.churn import (
-    arrays_from_tables,
-    resweep,
-    splice_join,
-    splice_leave,
+from repro.kernels.aggr import (
+    clustering_spaces,
+    node_info_sweep,
+    tables_from_sweep,
 )
-from repro.kernels.crt import clustering_spaces
+from repro.kernels.churn import resweep, splice_join, splice_leave
 from repro.kernels.tree import compile_tree
 from repro.predtree.framework import build_framework
 
-from tests.core.test_kernels import random_distances, random_overlay
+from tests.core.test_kernels import (
+    oracle_snapshot,
+    random_distances,
+    random_overlay,
+    reference_spaces,
+)
 
 N_CUTS = (2, 5)
 
@@ -80,7 +87,7 @@ def assert_same_fixed_point(result, neighbors, distances, n_cut):
         int(result.csr.host_ids[i]): space
         for i, space in enumerate(result.spaces)
     }
-    fresh_spaces = clustering_spaces(fresh_csr, fresh_tables)
+    fresh_spaces = reference_spaces(fresh_csr, fresh_tables)
     assert spaces_by_host == {
         int(fresh_csr.host_ids[i]): space
         for i, space in enumerate(fresh_spaces)
@@ -175,25 +182,6 @@ class TestCsrPatch:
             csr.patch_leaf_leave(7)
 
 
-class TestArraysFromTables:
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("n_cut", N_CUTS)
-    def test_roundtrip_is_canonical(self, seed, n_cut):
-        # tables -> arrays -> tables must close, and the arrays must be
-        # element-wise equal to a fresh sweep: the re-sweep's early-stop
-        # compares rows for equality, which only works when rebuilt
-        # arrays share the sweeps' canonical (distance, id) ranking.
-        n = 20
-        neighbors = random_overlay(n, seed)
-        distances = random_distances(n, seed, quantize=True)
-        csr, up, down = full_stack(neighbors, distances, n_cut)
-        tables = tables_from_sweep(csr, up, down)
-        rebuilt_up, rebuilt_down = arrays_from_tables(csr, tables, n_cut)
-        assert np.array_equal(rebuilt_up, up)
-        assert np.array_equal(rebuilt_down, down)
-        assert tables_from_sweep(csr, rebuilt_up, rebuilt_down) == tables
-
-
 class TestResweepDifferential:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("n_cut", N_CUTS)
@@ -207,7 +195,6 @@ class TestResweepDifferential:
             base_csr, base_up, base_down = full_stack(
                 drop_leaf(neighbors, victim), distances, n_cut
             )
-            base_tables = tables_from_sweep(base_csr, base_up, base_down)
             patch = splice_join(
                 base_csr,
                 base_up.copy(),
@@ -218,7 +205,7 @@ class TestResweepDifferential:
             )
             result = resweep(
                 patch,
-                clustering_spaces(base_csr, base_tables),
+                clustering_spaces(base_csr, base_up, base_down),
                 n_cut,
             )
             # Bit-identity against a full sweep of the patched CSR.
@@ -235,8 +222,7 @@ class TestResweepDifferential:
         neighbors = random_overlay(n, seed)
         distances = random_distances(n, seed, quantize=seed % 2 == 1)
         csr, up, down = full_stack(neighbors, distances, n_cut)
-        tables = tables_from_sweep(csr, up, down)
-        spaces = clustering_spaces(csr, tables)
+        spaces = clustering_spaces(csr, up, down)
         for position in leaf_indices(csr)[:3]:
             victim = int(csr.host_ids[position])
             patch = splice_leave(csr, up.copy(), down.copy(), victim)
@@ -258,9 +244,7 @@ class TestResweepDifferential:
         neighbors = random_overlay(n, 11)
         distances = random_distances(n, 11, quantize=True)
         csr, up, down = full_stack(neighbors, distances, n_cut)
-        spaces = clustering_spaces(
-            csr, tables_from_sweep(csr, up, down)
-        )
+        spaces = clustering_spaces(csr, up, down)
         current = dict(neighbors)
         for round_index in range(5):
             position = leaf_indices(csr)[round_index % 2]
@@ -310,9 +294,7 @@ class TestHypothesisParity:
         neighbors = random_overlay(n, seed)
         distances = random_distances(n, seed, quantize=True)
         csr, up, down = full_stack(neighbors, distances, n_cut)
-        spaces = clustering_spaces(
-            csr, tables_from_sweep(csr, up, down)
-        )
+        spaces = clustering_spaces(csr, up, down)
         current = {h: list(a) for h, a in neighbors.items()}
         departed: list[int] = []
         for event_seed in events:
@@ -354,27 +336,17 @@ class TestSubstrateParity:
         """Random churn through the substrate: patch == cold rebuild.
 
         Drives a random leaf leave/rejoin sequence through
-        ``apply_leave``/``apply_join`` on a kernel-churn substrate and
-        compares the full fixed point after every event against a
-        substrate built cold from the same framework — the end-to-end
-        version of the array-level differential above.
-
-        Pins the numpy backend via ``mock.patch.dict`` rather than the
-        ``monkeypatch`` fixture: function-scoped fixtures do not reset
-        between hypothesis examples.
+        ``apply_leave``/``apply_join`` and, after every event, checks
+        the full fixed point against a substrate built cold from the
+        same framework — the end-to-end version of the array-level
+        differential above — and against the standalone round
+        protocol: its node tables, and the CRT tables and answers of a
+        search layered over the patched substrate.
         """
-        import os
-        from unittest import mock
-
-        from repro.kernels import BACKEND_ENV
-
-        with mock.patch.dict(os.environ, {BACKEND_ENV: "numpy"}):
-            self._run_churn_walk(seed)
-
-    def _run_churn_walk(self, seed):
         rng = np.random.default_rng(seed)
         dataset = hp_planetlab_like(seed=0, n=24)
         framework = build_framework(dataset.bandwidth, seed=1)
+        classes = BandwidthClasses.linear(20.0, 60.0, 3)
         substrate = AggregationSubstrate(framework, n_cut=4)
         substrate.ensure()
         removed: list[int] = []
@@ -400,3 +372,28 @@ class TestSubstrateParity:
             cold = AggregationSubstrate(framework, n_cut=4)
             cold.ensure()
             assert substrate.snapshot() == cold.snapshot()
+            self._assert_matches_round_protocol(
+                framework, classes, substrate
+            )
+
+    @staticmethod
+    def _assert_matches_round_protocol(framework, classes, substrate):
+        oracle = DecentralizedClusterSearch(framework, classes, n_cut=4)
+        assert oracle.run_aggregation().converged
+        assert substrate.snapshot() == oracle_snapshot(oracle)
+        layered = DecentralizedClusterSearch(
+            framework, classes, n_cut=4, substrate=substrate
+        )
+        layered.run_aggregation()
+        hosts = framework.hosts
+        for host in hosts:
+            assert (
+                layered.state_of(host).aggr_crt
+                == oracle.state_of(host).aggr_crt
+            )
+        for k in (2, 4, 7):
+            for b in classes.bandwidths:
+                for start in (hosts[0], hosts[-1]):
+                    assert layered.process_query(
+                        k, b, start
+                    ) == oracle.process_query(k, b, start)

@@ -7,7 +7,9 @@ distance matrix — including degenerate ties, which is why several
 generators quantize distances.  Oracles here are written directly on
 the pure reference functions (``propagate_node_info`` /
 ``propagate_crt`` / ``own_crt_table``), so kernel bugs cannot hide
-behind a shared implementation.
+behind a shared implementation.  End to end, the substrate, the
+substrate-backed CRT pass and the service's answers are held to the
+standalone paper-literal :class:`DecentralizedClusterSearch`.
 """
 
 import threading
@@ -25,17 +27,15 @@ from repro.core.decentralized import (
     propagate_node_info,
 )
 from repro.core.find_cluster import max_cluster_size
-from repro.core.query import BandwidthClasses, ClusterQuery
+from repro.core.query import ClusterQuery
 from repro.datasets.planetlab import hp_planetlab_like
-from repro.exceptions import KernelError
-from repro.kernels import BACKEND_ENV, active_backend
-from repro.kernels.aggr import node_info_sweep, tables_from_sweep
-from repro.kernels.crt import (
-    CrtPrecompute,
+from repro.exceptions import KernelError, QueryError
+from repro.kernels.aggr import (
     clustering_spaces,
-    crt_sweep,
-    crt_tables,
+    node_info_sweep,
+    tables_from_sweep,
 )
+from repro.kernels.crt import CrtPrecompute, crt_sweep, crt_tables
 from repro.kernels.tree import compile_tree
 from repro.metrics.metric import DistanceMatrix
 from repro.predtree.framework import build_framework
@@ -88,14 +88,35 @@ def reference_node_info(neighbors, distances, n_cut):
     raise AssertionError("reference protocol failed to converge")
 
 
+def reference_space(host, node_tables):
+    """``V_x = {x} ∪ ⋃_v aggrNode[v]`` from a host-keyed table dict."""
+    members = {host}
+    for nodes in node_tables[host].values():
+        members.update(nodes)
+    return tuple(sorted(members))
+
+
+def reference_spaces(csr, node_tables):
+    """:func:`reference_space` per compact node of *csr*, in CSR order."""
+    return [
+        reference_space(int(host), node_tables) for host in csr.host_ids
+    ]
+
+
+def oracle_snapshot(search):
+    """A standalone search's node state in the substrate snapshot shape."""
+    return {
+        host: (
+            list(search.state_of(host).neighbors),
+            dict(search.state_of(host).aggr_node),
+        )
+        for host in search.hosts
+    }
+
+
 def reference_crt(neighbors, node_tables, distances, classes):
     """The Algorithm 3 fixed point, iterated on the pure functions."""
-    spaces = {}
-    for host in neighbors:
-        members = {host}
-        for nodes in node_tables[host].values():
-            members.update(nodes)
-        spaces[host] = tuple(sorted(members))
+    spaces = {host: reference_space(host, node_tables) for host in neighbors}
     own = {
         host: own_crt_table(spaces[host], distances, classes)
         for host in neighbors
@@ -117,27 +138,6 @@ def reference_crt(neighbors, node_tables, distances, classes):
         if not changed:
             return crt
     raise AssertionError("reference CRT failed to converge")
-
-
-class TestBackendSelection:
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert active_backend() == "numpy"
-        monkeypatch.setenv(BACKEND_ENV, "auto")
-        assert active_backend() == "numpy"
-
-    def test_python_forced(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert active_backend() == "python"
-
-    def test_value_normalized(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "  NumPy ")
-        assert active_backend() == "numpy"
-
-    def test_unknown_backend_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "cython")
-        with pytest.raises(KernelError, match="cython"):
-            active_backend()
 
 
 class TestCompileTree:
@@ -238,7 +238,8 @@ class TestCrtKernelDifferential:
         csr = compile_tree(neighbors, d.values)
         up, down = node_info_sweep(csr, n_cut)
         node_tables = tables_from_sweep(csr, up, down)
-        spaces = clustering_spaces(csr, node_tables)
+        spaces = clustering_spaces(csr, up, down)
+        assert spaces == reference_spaces(csr, node_tables)
         pre = CrtPrecompute(d.values)
         own = pre.own_matrix(spaces, classes)
         up_crt, down_crt = crt_sweep(csr, own)
@@ -433,7 +434,8 @@ def test_kernel_fixed_point_property(n, seed, n_cut, quantize):
     node_tables = tables_from_sweep(csr, up, down)
     assert node_tables == reference_node_info(neighbors, d, n_cut)
 
-    spaces = clustering_spaces(csr, node_tables)
+    spaces = clustering_spaces(csr, up, down)
+    assert spaces == reference_spaces(csr, node_tables)
     pre = CrtPrecompute(d.values)
     own = pre.own_matrix(spaces, classes)
     up_crt, down_crt = crt_sweep(csr, own)
@@ -459,26 +461,51 @@ def test_kernel_matches_reference_on_tree_metrics(n, seed, n_cut):
 
 
 class TestSubstrateKernelPath:
+    """The substrate and everything layered on it vs. the paper protocol.
+
+    The oracle is the standalone :class:`DecentralizedClusterSearch`:
+    synchronous rounds of Algorithms 2 and 3 over the live framework,
+    sharing no code with the sweeps, the CRT kernel or the snapshot
+    derivation.
+    """
+
     @pytest.fixture()
     def framework(self):
         dataset = hp_planetlab_like(seed=0, n=40)
         return build_framework(dataset.bandwidth, seed=1)
 
-    def test_backends_build_identical_tables(
-        self, framework, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        reference = AggregationSubstrate(framework, n_cut=5)
-        reference.ensure()
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        kernel = AggregationSubstrate(framework, n_cut=5)
-        kernel.ensure()
-        assert kernel.snapshot() == reference.snapshot()
+    @pytest.fixture()
+    def oracle(self, framework, hp_classes):
+        search = DecentralizedClusterSearch(framework, hp_classes, n_cut=5)
+        assert search.run_aggregation().converged
+        return search
 
-    def test_kernel_build_report_counts_sweeps(
-        self, framework, monkeypatch
+    def test_substrate_snapshot_matches_round_protocol(
+        self, framework, oracle
     ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+        substrate = AggregationSubstrate(framework, n_cut=5)
+        substrate.ensure()
+        assert substrate.snapshot() == oracle_snapshot(oracle)
+
+    def test_snapshot_is_derived_once_per_generation(self, framework):
+        substrate = AggregationSubstrate(framework, n_cut=5)
+        first = substrate.snapshot()
+        assert substrate.snapshot() is first
+        assert substrate.adopt_view()[1] is first
+        leaf = [
+            host
+            for host in framework.hosts
+            if not framework.anchor_tree.children(host)
+        ][-1]
+        assert framework.remove_host(leaf) == []
+        substrate.apply_leave(leaf)
+        second = substrate.snapshot()
+        assert second is not first
+        # The published snapshot of the old generation is untouched.
+        assert leaf in first
+        assert leaf not in second
+
+    def test_kernel_build_report_counts_sweeps(self, framework):
         substrate = AggregationSubstrate(framework, n_cut=5)
         report = substrate.build()
         hosts = len(framework.hosts)
@@ -487,75 +514,79 @@ class TestSubstrateKernelPath:
         assert report.messages == 2 * (hosts - 1)
         assert report.touched_hosts == hosts
 
-    def test_adopt_view_exposes_kernel_only_on_numpy(
-        self, framework, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_adopt_view_always_exposes_kernel(self, framework):
         substrate = AggregationSubstrate(framework, n_cut=5)
-        *_, view = substrate.adopt_view()
-        assert view is not None
+        distances, snapshot, view = substrate.adopt_view()
+        assert distances is substrate.distances
         assert view.csr.size == len(framework.hosts)
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        *_, view = substrate.adopt_view()
-        assert view is None
+        tables = {host: entry[1] for host, entry in snapshot.items()}
+        assert view.spaces == reference_spaces(view.csr, tables)
 
-    def test_python_built_substrate_compiles_lazily(
+    def test_compile_failure_propagates_typed(
         self, framework, monkeypatch
     ):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        substrate = AggregationSubstrate(framework, n_cut=5)
-        substrate.ensure()
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert substrate.warm_kernel()
-        *_, view = substrate.adopt_view()
-        assert view is not None
-        assert clustering_spaces(view.csr, {
-            host: tables
-            for host, (_, tables) in substrate.snapshot().items()
-        }) == view.spaces
+        def refuse(*args, **kwargs):
+            raise KernelError("overlay is not a tree")
 
-    def test_layered_queries_identical_across_backends(
-        self, framework, hp_classes, monkeypatch
+        monkeypatch.setattr(
+            "repro.core.decentralized.compile_tree", refuse
+        )
+        substrate = AggregationSubstrate(framework, n_cut=5)
+        with pytest.raises(KernelError, match="not a tree") as caught:
+            substrate.adopt_view()
+        assert caught.value.code == 120
+        assert not substrate.built
+
+    def test_substrate_backed_crt_and_answers_match_round_protocol(
+        self, framework, hp_classes, oracle
     ):
-        answers = {}
-        for backend in ("python", "numpy"):
-            monkeypatch.setenv(BACKEND_ENV, backend)
-            substrate = AggregationSubstrate(framework, n_cut=5)
-            substrate.ensure()
-            search = DecentralizedClusterSearch(
-                framework, hp_classes, n_cut=5, substrate=substrate
+        substrate = AggregationSubstrate(framework, n_cut=5)
+        search = DecentralizedClusterSearch(
+            framework, hp_classes, n_cut=5, substrate=substrate
+        )
+        report = search.run_aggregation()
+        assert report.converged
+        assert report.node_info_messages == 0
+        for host in oracle.hosts:
+            assert (
+                search.state_of(host).aggr_crt
+                == oracle.state_of(host).aggr_crt
             )
-            report = search.run_aggregation()
-            assert report.converged
-            assert report.node_info_messages == 0
-            answers[backend] = [
-                search.process_query(k, b, start)
-                for k in (2, 4, 9)
-                for b in (20.0, 45.0, 70.0)
-                for start in (0, 17, 39)
-            ]
-        assert answers["python"] == answers["numpy"]
+        for k in (2, 4, 9):
+            for b in (20.0, 45.0, 70.0):
+                for start in (0, 17, 39):
+                    assert search.process_query(
+                        k, b, start
+                    ) == oracle.process_query(k, b, start)
+
+    def test_substrate_backed_search_refuses_rounds(
+        self, framework, hp_classes
+    ):
+        substrate = AggregationSubstrate(framework, n_cut=5)
+        search = DecentralizedClusterSearch(
+            framework, hp_classes, n_cut=5, substrate=substrate
+        )
+        with pytest.raises(QueryError, match="substrate-backed"):
+            search.run_round()
 
 
 class TestServiceKernelParity:
-    def _batch_answers(self, monkeypatch, backend):
-        monkeypatch.setenv(BACKEND_ENV, backend)
+    def test_cold_batches_match_round_protocol(self, hp_classes):
         dataset = hp_planetlab_like(seed=2, n=40)
         framework = build_framework(dataset.bandwidth, seed=3)
-        classes = BandwidthClasses.linear(15.0, 75.0, 7)
-        service = ClusterQueryService(framework, classes, n_cut=5)
+        oracle = DecentralizedClusterSearch(framework, hp_classes, n_cut=5)
+        oracle.run_aggregation()
+        service = ClusterQueryService(framework, hp_classes, n_cut=5)
         executor = BatchExecutor(service, max_workers=4)
         queries = [
             ClusterQuery(k=k, b=b)
             for k in (2, 5)
-            for b in classes.bandwidths
+            for b in hp_classes.bandwidths
         ]
-        return [
-            (r.cluster, r.hops, r.found)
-            for r in executor.run(queries)
-        ]
-
-    def test_cold_batches_identical_across_backends(self, monkeypatch):
-        assert self._batch_answers(
-            monkeypatch, "python"
-        ) == self._batch_answers(monkeypatch, "numpy")
+        entry = framework.hosts[0]
+        for query, result in zip(queries, executor.run(queries)):
+            expected = oracle.process_query(query.k, query.b, entry)
+            assert (result.cluster, result.hops) == (
+                tuple(expected.cluster),
+                expected.hops,
+            ), query

@@ -6,10 +6,13 @@ checked here against cold-rebuild oracles:
 
 * a per-class search layered over a shared substrate reaches exactly
   the fixed point a standalone search computes;
-* incremental maintenance (``apply_join`` / ``apply_leave``) leaves the
+* churn maintenance (``apply_join`` / ``apply_leave``) leaves the
   substrate in exactly the state a cold rebuild over the changed
   overlay produces.
 """
+
+import sys
+import threading
 
 import pytest
 
@@ -21,7 +24,6 @@ from repro.core.decentralized import (
 from repro.core.query import BandwidthClasses
 from repro.datasets.planetlab import hp_planetlab_like
 from repro.exceptions import KernelError, QueryError, ValidationError
-from repro.kernels import BACKEND_ENV
 from repro.predtree.framework import build_framework
 
 N_CUT = 5
@@ -100,7 +102,7 @@ class TestSubstrateSharing:
         first = substrate.ensure()
         second = substrate.ensure()
         assert first.kind == "build"
-        assert second.kind == "incremental"
+        assert second.kind == "noop"
         assert second.messages == 0
 
     def test_query_results_identical(self, small_framework, hp_classes):
@@ -158,7 +160,7 @@ class TestSubstrateSharing:
         victim = anchor_leaf(framework)
         assert framework.remove_host(victim) == []
         substrate.apply_leave(victim)
-        # The adopted copy is isolated from substrate maintenance.
+        # The adopted snapshot is isolated from substrate maintenance.
         for host, tables in before.items():
             assert search.state_of(host).aggr_node == tables
 
@@ -170,9 +172,7 @@ class TestIncrementalMaintenance:
         victim = anchor_leaf(framework)
         assert framework.remove_host(victim) == []
         report = substrate.apply_leave(victim)
-        # NumPy backend absorbs the leaf departure as a kernel patch;
-        # the Python backend walks the event path.  Both are warm.
-        assert report.kind in {"patch", "incremental"}
+        assert report.kind == "patch"
 
         cold = AggregationSubstrate(framework, n_cut=N_CUT)
         cold.ensure()
@@ -186,7 +186,7 @@ class TestIncrementalMaintenance:
 
         framework.add_host(victim)
         report = substrate.apply_join(victim)
-        assert report.kind in {"patch", "incremental"}
+        assert report.kind == "patch"
 
         cold = AggregationSubstrate(framework, n_cut=N_CUT)
         cold.ensure()
@@ -232,6 +232,57 @@ class TestIncrementalMaintenance:
         substrate.ensure()
         with pytest.raises(QueryError):
             substrate.apply_leave(framework.hosts[-1])
+
+    def test_concurrent_adoption_under_churn_sees_whole_generations(
+        self, framework
+    ):
+        # Adopters share one derived snapshot per generation while a
+        # maintenance thread patches the arrays underneath: every
+        # adoption must pair a snapshot, view and distance matrix of
+        # the same overlay, never a torn mixture.
+        substrate = AggregationSubstrate(framework, n_cut=N_CUT)
+        substrate.ensure()
+        victim = anchor_leaf(framework)
+        stop = threading.Event()
+        torn: list[str] = []
+        adoptions = [0]
+
+        def adopt() -> None:
+            while not stop.is_set():
+                distances, snapshot, view = substrate.adopt_view()
+                hosts = {int(h) for h in view.csr.host_ids}
+                if set(snapshot) != hosts:
+                    torn.append("snapshot/view host sets differ")
+                if any(
+                    set(tables) != set(neighbors)
+                    for neighbors, tables in snapshot.values()
+                ):
+                    torn.append("tables do not match neighbor lists")
+                if max(hosts) >= distances.values.shape[0]:
+                    torn.append("view outgrew its distance matrix")
+                adoptions[0] += 1
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        workers = [threading.Thread(target=adopt) for _ in range(6)]
+        try:
+            for worker in workers:
+                worker.start()
+            for _ in range(4):
+                assert framework.remove_host(victim) == []
+                substrate.apply_leave(victim)
+                framework.add_host(victim)
+                substrate.apply_join(victim)
+        finally:
+            stop.set()
+            for worker in workers:
+                worker.join(timeout=30.0)
+            sys.setswitchinterval(previous)
+        assert not any(worker.is_alive() for worker in workers)
+        assert adoptions[0] > 0
+        assert torn == []
+        cold = AggregationSubstrate(framework, n_cut=N_CUT)
+        assert substrate.snapshot() == cold.snapshot()
 
     def test_apply_join_rejects_known_host(self, framework):
         substrate = AggregationSubstrate(framework, n_cut=N_CUT)
@@ -280,7 +331,7 @@ class TestMembershipChangeRecords:
 
 
 class TestMaintenanceLadder:
-    """The patch -> event path -> rebuild ladder and its bookkeeping."""
+    """The two-rung patch -> rebuild ladder and its bookkeeping."""
 
     def test_report_fallbacks_defaults_to_zero(self):
         report = MaintenanceReport(
@@ -291,8 +342,7 @@ class TestMaintenanceLadder:
             "build", 3, 120
         )
 
-    def test_patch_report_shape(self, framework, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_patch_report_shape(self, framework):
         substrate = AggregationSubstrate(framework, n_cut=N_CUT)
         substrate.ensure()
         victim = anchor_leaf(framework)
@@ -315,11 +365,9 @@ class TestMaintenanceLadder:
         # Consuming is destructive: a stale event can't be re-applied.
         assert substrate.take_churn_event() is None
 
-    def test_kernel_refusal_falls_back_to_event_path(
+    def test_kernel_refusal_falls_back_to_rebuild(
         self, framework, monkeypatch
     ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-
         def refuse(*args, **kwargs):
             raise KernelError("forced refusal")
 
@@ -334,30 +382,15 @@ class TestMaintenanceLadder:
         victim = anchor_leaf(framework)
         assert framework.remove_host(victim) == []
         leave = substrate.apply_leave(victim)
-        assert leave.kind == "incremental"
+        assert leave.kind == "rebuild"
         assert leave.fallbacks == 1
         assert substrate.take_churn_event() is None
         framework.add_host(victim)
         join = substrate.apply_join(victim)
-        assert join.kind == "incremental"
+        assert join.kind == "rebuild"
         assert join.fallbacks == 1
-        # The declined rungs still leave a correct fixed point behind.
+        assert substrate.generation == framework.generation
+        # The rebuild rung leaves a correct fixed point behind.
         cold = AggregationSubstrate(framework, n_cut=N_CUT)
         cold.ensure()
         assert substrate.snapshot() == cold.snapshot()
-
-    def test_kernel_churn_flag_disables_patching(
-        self, framework, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        substrate = AggregationSubstrate(
-            framework, n_cut=N_CUT, kernel_churn=False
-        )
-        substrate.ensure()
-        victim = anchor_leaf(framework)
-        assert framework.remove_host(victim) == []
-        report = substrate.apply_leave(victim)
-        # Patching was never attempted: not a declined rung, a config.
-        assert report.kind == "incremental"
-        assert report.fallbacks == 0
-        assert substrate.take_churn_event() is None

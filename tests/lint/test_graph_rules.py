@@ -379,7 +379,7 @@ class TestRPR014SnapshotDiscipline:
         assert rule_ids(findings) == {"RPR014"}
         (finding,) = findings
         assert "mutating substrate call .build()" in finding.message
-        assert "adopt()" in finding.message
+        assert "adopt_view()" in finding.message
 
     def test_mutation_via_helper_chain_is_flagged_with_path(
         self, harness

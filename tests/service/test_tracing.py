@@ -129,7 +129,7 @@ class TestTracedMembership:
         ]
         join = join_trace.root.find("substrate.apply_join")
         assert join is not None
-        assert join.attributes["kind"] in ("patch", "incremental", "rebuild")
+        assert join.attributes["kind"] in ("patch", "rebuild")
 
 
 class TestTracedSimulation:

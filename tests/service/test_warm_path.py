@@ -14,7 +14,6 @@ import threading
 import pytest
 
 from repro.core.query import BandwidthClasses, ClusterQuery
-from repro.kernels import BACKEND_ENV
 from repro.predtree.framework import build_framework
 from repro.service import ClusterQueryService
 
@@ -46,15 +45,7 @@ def _mixed_misses():
 
 
 class TestWarmBatchParity:
-    def test_warm_batch_engages_and_matches_per_query(
-        self, dataset, monkeypatch
-    ):
-        # These build-count assertions are about the numpy gather path
-        # specifically, so pin the backend: under a suite-wide
-        # REPRO_KERNELS=python run submit_group correctly declines and
-        # builds nothing (covered by
-        # test_python_backend_never_builds_tables).
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_warm_batch_engages_and_matches_per_query(self, dataset):
         # cache_size=2 keeps the warm batch from being answered out of
         # the LRU: the gather path must do the actual work.
         service = _fresh(dataset, cache_size=2)
@@ -98,21 +89,6 @@ class TestWarmBatchParity:
             assert result.hops == expected.hops, query
             assert result.start == expected.start == start
 
-    def test_python_backend_never_builds_tables(
-        self, dataset, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        service = _fresh(dataset, cache_size=2)
-        reference = _fresh(dataset)
-        _warm(service)
-        batch = _mixed_misses()
-        results = service.submit_batch(batch)
-        assert service.telemetry.snapshot().answer_table_builds == 0
-        for query, result in zip(batch, results):
-            expected = reference.submit(query)
-            assert result.cluster == expected.cluster, query
-            assert result.hops == expected.hops, query
-
     def test_unknown_start_falls_back_to_per_query_error(self, dataset):
         service = _fresh(dataset, cache_size=2)
         _warm(service)
@@ -134,10 +110,7 @@ class TestWarmBatchParity:
         assert first.cluster == second.cluster
         assert first.hops == second.hops
 
-    def test_tables_memoized_per_class_and_generation(
-        self, dataset, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_tables_memoized_per_class_and_generation(self, dataset):
         service = _fresh(dataset, cache_size=2)
         _warm(service)
         service.submit_batch(_mixed_misses())
@@ -156,10 +129,7 @@ class TestWarmBatchParity:
             service.telemetry.snapshot().answer_table_builds == builds
         )
 
-    def test_churn_migrates_tables_and_stays_correct(
-        self, dataset, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
+    def test_churn_migrates_tables_and_stays_correct(self, dataset):
         service = _fresh(dataset, cache_size=2)
         reference = _fresh(dataset, cache_size=2)
         _warm(service)
